@@ -109,7 +109,8 @@ func simulateAndAnalyze(bankPath, examID string, class int, seed int64, fraction
 }
 
 // cmdAnalyzeFile analyzes a saved sitting (a JSON file produced by the
-// delivery server's /api/admin/results endpoint or analysis.SaveResult)
+// delivery server's GET /v1/exams/{id}/results endpoint or
+// analysis.SaveResult)
 // without touching a bank.
 func cmdAnalyzeFile(args []string) error {
 	fs := flag.NewFlagSet("analyze-file", flag.ContinueOnError)

@@ -83,10 +83,7 @@ type tracedJournal struct {
 func (w *tracedJournal) AddProblem(p *item.Problem) error {
 	ctx, sp := w.t.StartRoot(context.Background(), "bench.add")
 	err := w.j.AddProblemCtx(ctx, p)
-	if err != nil {
-		sp.SetError()
-	}
-	sp.End()
+	sp.EndErr(err)
 	return err
 }
 

@@ -1,10 +1,9 @@
 // Command examserver runs the on-line exam delivery service: learners take
 // exams with a browser against the versioned /v1 HTTP API, SCO content
 // talks to the SCORM RTE bridge, administrators watch sessions and author
-// banks over the same API (the paper's §5 architecture), and the seed-era
-// /api/* routes remain as deprecated aliases. Exams carrying calibrated
-// item parameters are additionally served adaptively through the
-// /v1/adaptive-sessions routes (one item at a time with online ability
+// banks over the same API (the paper's §5 architecture). Exams carrying
+// calibrated item parameters are additionally served adaptively through
+// the /v1/adaptive-sessions routes (one item at a time with online ability
 // re-estimation); persisted adaptive sessions are restored on boot. See
 // API.md for the endpoint and error-code reference.
 //
@@ -51,9 +50,9 @@
 //
 // Access logs are structured (log/slog): -log-format picks text (default)
 // or json records, -quiet suppresses them, and -slow-request D logs any
-// request taking at least D at Warn ("slow request") while arming matching
-// slow-op logs in the delivery engines and the WAL — the shared request_id
-// attribute ties the layers' lines together.
+// request taking at least D at Warn ("slow request"). With -trace the line
+// carries the request's trace_id and the tracer retains every trace at
+// least that slow, so the span tree shows which layer the time went to.
 //
 // -trace turns on request-scoped distributed tracing: every request opens a
 // root span (honoring an inbound W3C traceparent header and echoing one on
@@ -71,10 +70,10 @@
 // listener never serves it): net/http/pprof profiling handlers under
 // /debug/pprof/ plus the process metrics registry as Prometheus text
 // exposition at /metrics (journal commit/fsync/compaction, event-bus
-// fan-out, live-stats lag, per-route HTTP latency histograms). -pprof is a
-// deprecated alias for -ops. On SIGINT/SIGTERM the server stops accepting
-// connections and drains in-flight requests for up to -drain before
-// exiting, so learners mid-answer are not dropped on redeploy.
+// fan-out, live-stats lag, per-route HTTP latency histograms). On
+// SIGINT/SIGTERM the server stops accepting connections and drains
+// in-flight requests for up to -drain before exiting, so learners
+// mid-answer are not dropped on redeploy.
 package main
 
 import (
@@ -132,17 +131,13 @@ func run(args []string) error {
 	walCodec := fs.String("wal-codec", "", "WAL and event-log record format: json (default) or binary; either codec replays logs written by the other")
 	eventLogMax := fs.Int64("event-log-max-bytes", 0, "rotate the durable event log when the active segment reaches this size (0 = unbounded; one rotated segment is retained)")
 	opsAddr := fs.String("ops", "", "serve the ops listener (pprof + Prometheus /metrics) on this separate address (e.g. 127.0.0.1:6060; empty disables)")
-	pprofAddr := fs.String("pprof", "", "deprecated alias for -ops")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
-	slowReq := fs.Duration("slow-request", 0, "log requests taking at least this long at Warn, correlated across layers by request ID (0 disables)")
+	slowReq := fs.Duration("slow-request", 0, "log requests taking at least this long at Warn, and retain their traces under -trace (0 disables)")
 	traceOn := fs.Bool("trace", false, "request-scoped distributed tracing with tail sampling (browse at /debug/traces on the ops listener)")
 	traceSample := fs.Int("trace-sample", 64, "with -trace, uniformly retain one in N traces that were not slow/errored/gapped")
 	traceRetain := fs.Int("trace-retain", 256, "with -trace, retained-trace ring capacity")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *opsAddr == "" {
-		*opsAddr = *pprofAddr
 	}
 	var logHandler slog.Handler
 	switch *logFormat {
@@ -242,12 +237,6 @@ func run(args []string) error {
 	accessLog := slog.New(logHandler)
 	if *quiet {
 		accessLog = nil
-	}
-	// -slow-request arms the WAL layer too: a slow HTTP line, the engine's
-	// slow-op line (same request ID) and the journal's slow-commit line
-	// together attribute where the time went.
-	if j, ok := store.(*bank.Journal); ok {
-		j.SetSlowOpLog(accessLog, *slowReq)
 	}
 	// The tracer's slow threshold follows -slow-request, so the tail
 	// sampler retains exactly the traces the slow-request log warns about.

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"runtime"
 	"sync"
@@ -158,21 +157,6 @@ type Journal struct {
 	mWALBytes   *obs.Counter   // bytes appended to the WAL
 	mCompacts   *obs.Counter   // compaction passes
 	mCompactDur *obs.Histogram // compaction pass duration
-
-	// slowOps warns about commits that exceed the configured threshold
-	// (see SetSlowOpLog); the zero value is disabled.
-	slowOps obs.SlowOpLog
-}
-
-// SetSlowOpLog arms the journal's slow-commit log: mutations whose
-// apply-to-durable-ack latency reaches threshold emit a Warn record
-// through logger, tagged layer=wal with the WAL op name. The journal has
-// no request context, so the line carries no request ID — correlate with
-// the engine layer's slow-op line (which does) by timestamp; the engine
-// line's duration includes this commit. A nil logger or non-positive
-// threshold disables it.
-func (j *Journal) SetSlowOpLog(logger *slog.Logger, threshold time.Duration) {
-	j.slowOps.Configure(logger, "wal", threshold)
 }
 
 // The epoch counts compactions. Every WAL record carries the epoch it was
@@ -509,7 +493,6 @@ func (j *Journal) mutate(apply func() (walRecord, error)) error {
 // itself never touches the trace, so the single-writer WAL pipeline stays
 // trace-free. Untraced calls take the exact pre-trace path: one nil check.
 func (j *Journal) mutateCtx(ctx context.Context, apply func() (walRecord, error)) error {
-	slowT := j.slowOps.Begin()
 	span := trace.FromContext(ctx).Child("wal.commit")
 	var start time.Time
 	if j.mCommit != nil {
@@ -524,15 +507,13 @@ func (j *Journal) mutateCtx(ctx context.Context, apply func() (walRecord, error)
 	}
 	if j.closed || j.poisoned {
 		j.mu.Unlock()
-		span.SetError()
-		span.End()
+		span.EndErr(errJournalClosed)
 		return errJournalClosed
 	}
 	rec, err := apply()
 	if err != nil {
 		j.mu.Unlock()
-		span.SetError()
-		span.End()
+		span.EndErr(err)
 		return err
 	}
 	rec.Epoch = j.epoch
@@ -576,7 +557,6 @@ func (j *Journal) mutateCtx(ctx context.Context, apply func() (walRecord, error)
 		}
 	}
 	span.End()
-	j.slowOps.Done(ctx, rec.Op, rec.ID, slowT)
 	return p.err
 }
 

@@ -39,7 +39,6 @@ import (
 	"mineassess/internal/delivery"
 	"mineassess/internal/events"
 	"mineassess/internal/item"
-	"mineassess/internal/obs"
 	"mineassess/internal/simulate"
 	"mineassess/internal/trace"
 )
@@ -317,10 +316,6 @@ type Engine struct {
 	recalMu sync.Mutex
 
 	restoreSkipped int // sessions NewEngine could not rehydrate
-
-	// slowOps logs engine operations that exceed the configured threshold
-	// (see SetSlowOpLog); disabled it costs one atomic load per Ctx call.
-	slowOps obs.SlowOpLog
 }
 
 // NewEngine builds an adaptive engine over the storage and restores every
@@ -428,10 +423,17 @@ func (e *Engine) loadPool(rec *bank.ExamRecord) ([]adaptive.PoolItem, map[string
 // the first item. seed drives item selection for the randomized selectors
 // (and tie-breaking determinism on restart).
 func (e *Engine) Start(examID, studentID string, cfg Config, seed int64) (*Session, *ItemView, error) {
-	return e.startCtx(context.Background(), examID, studentID, cfg, seed)
+	return e.StartCtx(context.Background(), examID, studentID, cfg, seed)
 }
 
-func (e *Engine) startCtx(ctx context.Context, examID, studentID string, cfg Config, seed int64) (*Session, *ItemView, error) {
+// StartCtx is Start under a request context: a traced request gains a
+// cat.start child span whose subtree includes the session persist
+// (wal.commit) and the adaptive.started bus publish. The context does not
+// cancel the operation.
+func (e *Engine) StartCtx(ctx context.Context, examID, studentID string, cfg Config, seed int64) (_ *Session, _ *ItemView, err error) {
+	ctx, sp := trace.StartSpan(ctx, "cat.start")
+	sp.SetStr("exam.id", examID)
+	defer func() { sp.EndErr(err) }()
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -732,10 +734,15 @@ func (e *Engine) NextItem(sessionID string) (*ItemView, error) {
 // the next item or finishes the session. Every submission persists the
 // session record and triggers a monitor capture.
 func (e *Engine) SubmitResponse(sessionID, problemID, response string) (*Progress, error) {
-	return e.submitResponseCtx(context.Background(), sessionID, problemID, response)
+	return e.SubmitResponseCtx(context.Background(), sessionID, problemID, response)
 }
 
-func (e *Engine) submitResponseCtx(ctx context.Context, sessionID, problemID, response string) (*Progress, error) {
+// SubmitResponseCtx is SubmitResponse under a request context (cat.respond
+// span).
+func (e *Engine) SubmitResponseCtx(ctx context.Context, sessionID, problemID, response string) (_ *Progress, err error) {
+	ctx, sp := trace.StartSpan(ctx, "cat.respond")
+	sp.SetStr("problem.id", problemID)
+	defer func() { sp.EndErr(err) }()
 	s, err := e.lock(sessionID)
 	if err != nil {
 		return nil, err
@@ -864,10 +871,13 @@ func (s *Session) finishLocked(reason string) {
 // Finish closes an adaptive session early (learner walked away) and returns
 // its outcome; finishing a finished session is idempotent.
 func (e *Engine) Finish(sessionID string) (*Outcome, error) {
-	return e.finishCtx(context.Background(), sessionID)
+	return e.FinishCtx(context.Background(), sessionID)
 }
 
-func (e *Engine) finishCtx(ctx context.Context, sessionID string) (*Outcome, error) {
+// FinishCtx is Finish under a request context (cat.finish span).
+func (e *Engine) FinishCtx(ctx context.Context, sessionID string) (_ *Outcome, err error) {
+	ctx, sp := trace.StartSpan(ctx, "cat.finish")
+	defer func() { sp.EndErr(err) }()
 	s, err := e.lock(sessionID)
 	if err != nil {
 		return nil, err

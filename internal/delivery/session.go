@@ -27,7 +27,6 @@ import (
 	"mineassess/internal/bank"
 	"mineassess/internal/events"
 	"mineassess/internal/item"
-	"mineassess/internal/obs"
 	"mineassess/internal/scorm"
 	"mineassess/internal/trace"
 )
@@ -164,9 +163,6 @@ type Engine struct {
 	// unconditional). Emission is fire-and-forget and never blocks, so it
 	// adds only memory-op cost to the learner's request.
 	bus *events.Bus
-	// slowOps logs engine operations that exceed the configured threshold
-	// (see SetSlowOpLog); disabled it costs one atomic load per Ctx call.
-	slowOps obs.SlowOpLog
 }
 
 // SetEventBus attaches a live event bus; engine operations publish
@@ -222,10 +218,16 @@ func (e *Engine) HasSession(sessionID string) bool {
 // All assembly work happens before the session is published, so Start holds
 // no lock while reading the bank or shuffling options.
 func (e *Engine) Start(examID, studentID string, seed int64) (*Session, error) {
-	return e.startCtx(context.Background(), examID, studentID, seed)
+	return e.StartCtx(context.Background(), examID, studentID, seed)
 }
 
-func (e *Engine) startCtx(ctx context.Context, examID, studentID string, seed int64) (*Session, error) {
+// StartCtx is Start under a request context: a traced request gains an
+// engine.start child span whose subtree includes the session.started bus
+// publish. The context does not cancel the operation.
+func (e *Engine) StartCtx(ctx context.Context, examID, studentID string, seed int64) (_ *Session, err error) {
+	ctx, sp := trace.StartSpan(ctx, "engine.start")
+	sp.SetStr("exam.id", examID)
+	defer func() { sp.EndErr(err) }()
 	rec, err := e.store.Exam(examID)
 	if err != nil {
 		return nil, err
@@ -300,7 +302,7 @@ func (e *Engine) lock(sessionID string) (*Session, error) {
 // inclusive (>=) so the status contract stays exact: a running session
 // always has remaining time and reports RemainingSeconds >= 1, and 0
 // appears only together with the expired state. ctx scopes the expiry
-// event's publish (see startCtx). Callers hold s.mu.
+// event's publish (see StartCtx). Callers hold s.mu.
 func (e *Engine) checkTime(ctx context.Context, s *Session, now time.Time) error {
 	if s.limit > 0 && s.state == StateRunning && s.elapsedActive(now) >= s.limit {
 		s.activeSpent = s.limit
@@ -322,10 +324,14 @@ func (e *Engine) checkTime(ctx context.Context, s *Session, now time.Time) error
 // picture", §5). Only this learner's session is locked; grading a slow
 // problem never delays other sessions.
 func (e *Engine) Answer(sessionID, problemID, response string) error {
-	return e.answerCtx(context.Background(), sessionID, problemID, response)
+	return e.AnswerCtx(context.Background(), sessionID, problemID, response)
 }
 
-func (e *Engine) answerCtx(ctx context.Context, sessionID, problemID, response string) error {
+// AnswerCtx is Answer under a request context (engine.answer span).
+func (e *Engine) AnswerCtx(ctx context.Context, sessionID, problemID, response string) (err error) {
+	ctx, sp := trace.StartSpan(ctx, "engine.answer")
+	sp.SetStr("problem.id", problemID)
+	defer func() { sp.EndErr(err) }()
 	s, err := e.lock(sessionID)
 	if err != nil {
 		return err
@@ -409,10 +415,13 @@ func (e *Engine) Resume(sessionID string) error {
 // Finish closes the session, grades it, and writes score and status into
 // the CMI data model.
 func (e *Engine) Finish(sessionID string) (*analysis.StudentResult, error) {
-	return e.finishCtx(context.Background(), sessionID)
+	return e.FinishCtx(context.Background(), sessionID)
 }
 
-func (e *Engine) finishCtx(ctx context.Context, sessionID string) (*analysis.StudentResult, error) {
+// FinishCtx is Finish under a request context (engine.finish span).
+func (e *Engine) FinishCtx(ctx context.Context, sessionID string) (_ *analysis.StudentResult, err error) {
+	ctx, sp := trace.StartSpan(ctx, "engine.finish")
+	defer func() { sp.EndErr(err) }()
 	s, err := e.lock(sessionID)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,7 @@
 package httpapi
 
 // Contract suite: walks every /v1 route asserting status codes, error
-// envelopes, method-not-allowed handling, and legacy-alias parity. This is
+// envelopes and method-not-allowed handling. This is
 // the executable form of API.md — a route change that breaks the contract
 // fails here before any client notices.
 
@@ -306,12 +306,6 @@ func TestContractMethodNotAllowed(t *testing.T) {
 		{http.MethodGet, "/v1/grades"},
 		{http.MethodPost, "/v1/metrics"},
 		{http.MethodPost, "/package/x.html"},
-		{http.MethodPut, "/api/session/start"},
-		{http.MethodPost, "/api/monitor/" + sr.SessionID},
-		{http.MethodGet, "/api/rte/" + sr.SessionID},
-		{http.MethodDelete, "/api/admin/grades"},
-		{http.MethodPost, "/api/admin/sessions"},
-		{http.MethodPost, "/api/admin/results"},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
@@ -338,89 +332,8 @@ func TestContractMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestContractLegacyParity drives the same operations through /v1 and the
-// deprecated /api aliases and asserts identical status codes and bodies
-// (modulo the session IDs the engine mints).
-func TestContractLegacyParity(t *testing.T) {
-	type probe struct {
-		name           string
-		method         string
-		v1Path, legacy string // templated with {sid}
-		body           func(sid string) any
-	}
-	probes := []probe{
-		{"status", http.MethodGet, "/v1/sessions/{sid}", "/api/session/{sid}", nil},
-		{"answer", http.MethodPost, "/v1/sessions/{sid}:answer", "/api/session/{sid}/answer",
-			func(string) any { return AnswerRequest{ProblemID: "q1", Response: "A"} }},
-		{"answer-unknown", http.MethodPost, "/v1/sessions/{sid}:answer", "/api/session/{sid}/answer",
-			func(string) any { return AnswerRequest{ProblemID: "ghost", Response: "A"} }},
-		{"monitor", http.MethodGet, "/v1/sessions/{sid}/monitor", "/api/monitor/{sid}", nil},
-		{"monitor-ghost", http.MethodGet, "/v1/sessions/ghost/monitor", "/api/monitor/ghost", nil},
-		{"rte", http.MethodPost, "/v1/sessions/{sid}/rte", "/api/rte/{sid}",
-			func(string) any { return RTERequest{Method: "getvalue", Element: "cmi.core.student_id"} }},
-		{"sessions-list", http.MethodGet, "/v1/exams/exam1/sessions", "/api/admin/sessions?exam=exam1", nil},
-		{"sessions-ghost", http.MethodGet, "/v1/exams/ghost/sessions", "/api/admin/sessions?exam=ghost", nil},
-		{"grades-list", http.MethodGet, "/v1/exams/exam1/grades", "/api/admin/grades?exam=exam1", nil},
-		{"results", http.MethodGet, "/v1/exams/exam1/results", "/api/admin/results?exam=exam1", nil},
-		{"results-ghost", http.MethodGet, "/v1/exams/ghost/results", "/api/admin/results?exam=ghost", nil},
-		{"finish", http.MethodPost, "/v1/sessions/{sid}:finish", "/api/session/{sid}/finish", nil},
-	}
-	// Two identical servers: one driven via /v1, one via the aliases, so
-	// minted session IDs line up and bodies must match byte for byte.
-	run := func(t *testing.T, viaLegacy bool) map[string]struct {
-		code int
-		body string
-	} {
-		srv, _ := testServer(t)
-		var sid string
-		if viaLegacy {
-			var sr StartSessionResponse
-			code, raw := doJSON(t, http.MethodPost, srv.URL+"/api/session/start",
-				StartSessionRequest{ExamID: "exam1", StudentID: "alice", Seed: 1}, &sr)
-			if code != http.StatusOK {
-				t.Fatalf("legacy start: %d %s", code, raw)
-			}
-			sid = sr.SessionID
-		} else {
-			sid = startV1(t, srv.URL, "exam1", "alice").SessionID
-		}
-		out := make(map[string]struct {
-			code int
-			body string
-		})
-		for _, p := range probes {
-			path := p.v1Path
-			if viaLegacy {
-				path = p.legacy
-			}
-			path = strings.ReplaceAll(path, "{sid}", sid)
-			var body any
-			if p.body != nil {
-				body = p.body(sid)
-			}
-			code, raw := doJSON(t, p.method, srv.URL+path, body, nil)
-			out[p.name] = struct {
-				code int
-				body string
-			}{code, string(raw)}
-		}
-		return out
-	}
-	v1 := run(t, false)
-	legacy := run(t, true)
-	for name, want := range v1 {
-		got := legacy[name]
-		if got.code != want.code {
-			t.Errorf("%s: legacy code %d != v1 code %d", name, got.code, want.code)
-		}
-		if got.body != want.body {
-			t.Errorf("%s: legacy body %q != v1 body %q", name, got.body, want.body)
-		}
-	}
-}
-
 // TestContractAdminFlow ports the seed-era admin-endpoint coverage: the
-// grading worklist and results export over both route families.
+// session list, grading worklist and results export.
 func TestContractAdminFlow(t *testing.T) {
 	store, examID := essayExamFixture(t)
 	srv, clock := serverOver(t, store)
@@ -444,10 +357,6 @@ func TestContractAdminFlow(t *testing.T) {
 	if len(sums) != 1 || sums[0].StudentID != "carol" {
 		t.Errorf("sums = %+v", sums)
 	}
-	// Legacy alias still requires the exam parameter.
-	code, raw := doJSON(t, http.MethodGet, srv.URL+"/api/admin/sessions", nil, nil)
-	wantEnvelope(t, code, raw, CodeBadRequest)
-
 	var pending []delivery.PendingGrade
 	if code, _ := doJSON(t, http.MethodGet, srv.URL+"/v1/exams/"+examID+"/grades", nil, &pending); code != http.StatusOK {
 		t.Fatal("grades list failed")
@@ -477,40 +386,36 @@ func TestContractAdminFlow(t *testing.T) {
 	}
 }
 
-// TestContractRTEBridge keeps the SCORM RTE round trip working over both
-// the v1 route and the legacy alias SCO content uses.
+// TestContractRTEBridge keeps the SCORM RTE round trip working over the
+// route SCO content uses.
 func TestContractRTEBridge(t *testing.T) {
 	srv, _ := testServer(t)
 	sr := startV1(t, srv.URL, "exam1", "alice")
-	for _, base := range []string{
-		srv.URL + "/v1/sessions/" + sr.SessionID + "/rte",
-		srv.URL + "/api/rte/" + sr.SessionID,
-	} {
-		var rr RTEResponse
-		if code, _ := doJSON(t, http.MethodPost, base,
-			RTERequest{Method: "getvalue", Element: "cmi.core.student_id"}, &rr); code != http.StatusOK {
-			t.Fatalf("getvalue code != 200 at %s", base)
-		}
-		if rr.Result != "alice" || rr.LastError != "0" {
-			t.Errorf("getvalue = %+v", rr)
-		}
-		if code, _ := doJSON(t, http.MethodPost, base,
-			RTERequest{Method: "setvalue", Element: "cmi.core.lesson_status", Value: "incomplete"}, &rr); code != http.StatusOK || rr.Result != "true" {
-			t.Errorf("setvalue = %d %+v", code, rr)
-		}
-		if code, _ := doJSON(t, http.MethodPost, base, RTERequest{Method: "commit"}, &rr); code != http.StatusOK || rr.Result != "true" {
-			t.Errorf("commit = %d %+v", code, rr)
-		}
-		// Read-only violation surfaces the SCORM error code.
-		doJSON(t, http.MethodPost, base,
-			RTERequest{Method: "setvalue", Element: "cmi.core.student_id", Value: "bob"}, &rr)
-		if rr.Result != "false" || rr.LastError != "403" {
-			t.Errorf("read-only setvalue = %+v", rr)
-		}
-		code, raw := doJSON(t, http.MethodPost, base, RTERequest{Method: "explode"}, nil)
-		wantEnvelope(t, code, raw, CodeBadRequest)
+	base := srv.URL + "/v1/sessions/" + sr.SessionID + "/rte"
+	var rr RTEResponse
+	if code, _ := doJSON(t, http.MethodPost, base,
+		RTERequest{Method: "getvalue", Element: "cmi.core.student_id"}, &rr); code != http.StatusOK {
+		t.Fatalf("getvalue code != 200 at %s", base)
 	}
-	code, raw := doJSON(t, http.MethodPost, srv.URL+"/api/rte/ghost", RTERequest{Method: "commit"}, nil)
+	if rr.Result != "alice" || rr.LastError != "0" {
+		t.Errorf("getvalue = %+v", rr)
+	}
+	if code, _ := doJSON(t, http.MethodPost, base,
+		RTERequest{Method: "setvalue", Element: "cmi.core.lesson_status", Value: "incomplete"}, &rr); code != http.StatusOK || rr.Result != "true" {
+		t.Errorf("setvalue = %d %+v", code, rr)
+	}
+	if code, _ := doJSON(t, http.MethodPost, base, RTERequest{Method: "commit"}, &rr); code != http.StatusOK || rr.Result != "true" {
+		t.Errorf("commit = %d %+v", code, rr)
+	}
+	// Read-only violation surfaces the SCORM error code.
+	doJSON(t, http.MethodPost, base,
+		RTERequest{Method: "setvalue", Element: "cmi.core.student_id", Value: "bob"}, &rr)
+	if rr.Result != "false" || rr.LastError != "403" {
+		t.Errorf("read-only setvalue = %+v", rr)
+	}
+	code, raw := doJSON(t, http.MethodPost, base, RTERequest{Method: "explode"}, nil)
+	wantEnvelope(t, code, raw, CodeBadRequest)
+	code, raw = doJSON(t, http.MethodPost, srv.URL+"/v1/sessions/ghost/rte", RTERequest{Method: "commit"}, nil)
 	wantEnvelope(t, code, raw, CodeSessionNotFound)
 }
 

@@ -95,8 +95,6 @@ func NewMetricsWith(reg *obs.Registry) *Metrics {
 }
 
 // register returns the route's stats, creating them on first registration.
-// Routes registered twice (e.g. a legacy alias sharing a pattern) share one
-// entry.
 func (m *Metrics) register(route string) *routeStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mineassess/internal/obs"
+	"mineassess/internal/trace"
 )
 
 // Middleware wraps a handler. The chain composes outermost-first, so
@@ -140,8 +141,9 @@ func (sr *statusRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 // AccessLog emits one structured record per request: who asked for what,
 // what came back, and how long it took. Requests that run for slow or
 // longer (when slow > 0) are logged at Warn as "slow request" so they
-// stand out and correlate — via request_id — with the engine- and
-// WAL-layer slow-op lines. A nil logger disables logging.
+// stand out. A traced request's line carries its trace_id, the key into
+// the tracer's span tree (the tracer retains every trace past the same
+// slow threshold). A nil logger disables logging.
 func AccessLog(logger *slog.Logger, slow time.Duration) Middleware {
 	return func(next http.Handler) http.Handler {
 		if logger == nil {
@@ -159,7 +161,7 @@ func AccessLog(logger *slog.Logger, slow time.Duration) Middleware {
 			if slow > 0 && d >= slow {
 				level, msg = slog.LevelWarn, "slow request"
 			}
-			logger.LogAttrs(r.Context(), level, msg,
+			attrs := [...]slog.Attr{
 				slog.String(obs.LogKeyRequestID, RequestIDFrom(r.Context())),
 				slog.String(obs.LogKeyMethod, r.Method),
 				slog.String(obs.LogKeyPath, r.URL.Path),
@@ -167,7 +169,14 @@ func AccessLog(logger *slog.Logger, slow time.Duration) Middleware {
 				slog.Int(obs.LogKeyBytes, sr.bytes),
 				slog.Float64(obs.LogKeyDurationMS, float64(d.Microseconds())/1000),
 				slog.String(obs.LogKeyLearner, learnerKey(r)),
-			)
+				{},
+			}
+			n := len(attrs) - 1
+			if tid := trace.FromContext(r.Context()).TraceIDHex(); tid != "" {
+				attrs[n] = slog.String(obs.LogKeyTraceID, tid)
+				n++
+			}
+			logger.LogAttrs(r.Context(), level, msg, attrs[:n]...)
 		})
 	}
 }

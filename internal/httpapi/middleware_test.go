@@ -78,6 +78,10 @@ func TestAccessLogLine(t *testing.T) {
 			t.Errorf("log line missing %q: %s", want, line)
 		}
 	}
+	// An untraced request's line has no trace_id key at all.
+	if strings.Contains(line, "trace_id") {
+		t.Errorf("untraced log line carries a trace_id: %s", line)
+	}
 }
 
 func TestRecoverMiddleware(t *testing.T) {

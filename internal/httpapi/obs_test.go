@@ -11,21 +11,24 @@ import (
 
 	"mineassess/internal/delivery"
 	"mineassess/internal/obs"
+	"mineassess/internal/trace"
 )
 
-// TestSlowRequestCorrelation: with -slow-request armed, one slow request
-// produces a Warn "slow request" access-log record AND a Warn "slow op"
-// record from the delivery engine, and both carry the same request ID —
-// the property that lets an operator trace a slow HTTP line to the engine
-// call behind it.
+// TestSlowRequestCorrelation: with -slow-request armed on a traced
+// server, one slow request produces a Warn "slow request" access-log line
+// carrying both its request ID and its trace ID, and that trace ID
+// resolves in the tracer to a trace retained as slow whose tree holds the
+// engine call — the path from a slow HTTP line to the layer behind it.
 func TestSlowRequestCorrelation(t *testing.T) {
 	store, examID := examFixture(t, false)
 	eng := delivery.NewEngine(store, nil, 8)
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
+	tracer := trace.New(trace.Options{Slow: time.Nanosecond})
 	srv := httptest.NewServer(NewServer(eng, store, Options{
 		Logger:      logger,
-		SlowRequest: time.Nanosecond, // everything is "slow": both lines must fire
+		SlowRequest: time.Nanosecond, // everything is "slow"
+		Tracer:      tracer,
 	}))
 	defer srv.Close()
 
@@ -45,25 +48,32 @@ func TestSlowRequestCorrelation(t *testing.T) {
 	}
 
 	logs := buf.String()
-	var sawRequest, sawOp bool
+	var traceID string
 	for _, line := range strings.Split(logs, "\n") {
-		switch {
-		case strings.Contains(line, `msg="slow request"`):
-			sawRequest = true
-			if !strings.Contains(line, "request_id=corr-99") {
-				t.Errorf("slow request line lost the request ID: %s", line)
-			}
-		case strings.Contains(line, `msg="slow op"`):
-			sawOp = true
-			for _, want := range []string{"request_id=corr-99", "layer=delivery", "op=start"} {
-				if !strings.Contains(line, want) {
-					t.Errorf("slow op line missing %q: %s", want, line)
-				}
+		if !strings.Contains(line, `msg="slow request"`) {
+			continue
+		}
+		if !strings.Contains(line, "request_id=corr-99") {
+			t.Errorf("slow request line lost the request ID: %s", line)
+		}
+		for _, field := range strings.Fields(line) {
+			if v, ok := strings.CutPrefix(field, "trace_id="); ok {
+				traceID = v
 			}
 		}
 	}
-	if !sawRequest || !sawOp {
-		t.Fatalf("slow request line: %v, slow op line: %v; logs:\n%s", sawRequest, sawOp, logs)
+	if traceID == "" {
+		t.Fatalf("no slow request line with a trace_id; logs:\n%s", logs)
+	}
+	td := tracer.Trace(traceID)
+	if td == nil {
+		t.Fatalf("trace %s from the log line not in the tracer", traceID)
+	}
+	if td.Reason != "slow" {
+		t.Errorf("trace retained as %q, want slow", td.Reason)
+	}
+	if findSpan(td.Root, "engine.start") == nil {
+		t.Errorf("slow trace lacks engine.start: %s", dumpTree(t, td))
 	}
 }
 

@@ -2,9 +2,7 @@
 // SCOs and administrators all speak HTTP to the assessment service). It
 // exposes the resource-oriented /v1 API — session delivery, monitoring, the
 // SCORM RTE bridge, problem/exam authoring CRUD and blueprint assembly — on
-// top of the delivery engine and a bank.Storage, plus thin deprecated
-// aliases for the seed-era /api/* routes so existing SCO content keeps
-// working.
+// top of the delivery engine and a bank.Storage.
 //
 // Every non-2xx response carries the typed error envelope of errors.go
 // ({code, message, details}); the middleware chain adds request IDs,
@@ -73,8 +71,8 @@ type Options struct {
 	// disables logging.
 	Logger *slog.Logger
 	// SlowRequest, when > 0 with Logger set, logs requests that take at
-	// least this long at Warn ("slow request") and arms the delivery and
-	// adaptive engines' slow-op logs so the layers correlate by request ID.
+	// least this long at Warn ("slow request"); a traced line carries the
+	// trace ID, whose span tree shows which layer the time went to.
 	SlowRequest time.Duration
 	// Obs, when set, publishes the per-route latency histograms and
 	// process counters through the shared registry (Prometheus exposition
@@ -127,8 +125,8 @@ type Server struct {
 
 var _ http.Handler = (*Server)(nil)
 
-// NewServer wires the engine and bank behind the /v1 router, the legacy
-// aliases, and the middleware chain.
+// NewServer wires the engine and bank behind the /v1 router and the
+// middleware chain.
 func NewServer(engine *delivery.Engine, store bank.Storage, o Options) *Server {
 	s := &Server{
 		engine:    engine,
@@ -141,17 +139,6 @@ func NewServer(engine *delivery.Engine, store bank.Storage, o Options) *Server {
 		mux:       http.NewServeMux(),
 	}
 	s.routes()
-	// Slow requests at the HTTP layer arm matching slow-op logs in the
-	// engines, so one request ID ties the access-log line to the engine
-	// call that made it slow.
-	if o.Logger != nil && o.SlowRequest > 0 {
-		if engine != nil {
-			engine.SetSlowOpLog(o.Logger, o.SlowRequest)
-		}
-		if o.Adaptive != nil {
-			o.Adaptive.SetSlowOpLog(o.Logger, o.SlowRequest)
-		}
-	}
 	// The per-learner bucket shapes individual traffic; the per-IP bucket
 	// (ipAggregateFactor times the learner rate) caps what any one address
 	// can push regardless of the client-controlled X-Learner-ID header. The
@@ -218,17 +205,6 @@ func (s *Server) routes() {
 	s.route("/v1/grades", s.handleGrades)
 	s.route("/v1/metrics", s.handleMetrics)
 	s.route("/v1/events:stream", s.handleEventStream)
-
-	// Deprecated seed-era aliases, kept so existing SCO content and scripts
-	// keep working; they call the same cores as the /v1 routes and return
-	// identical bodies.
-	s.route("/api/session/start", s.legacyStart)
-	s.route("/api/session/", s.legacySession)
-	s.route("/api/monitor/", s.legacyMonitor)
-	s.route("/api/rte/", s.legacyRTE)
-	s.route("/api/admin/sessions", s.legacyAdminSessions)
-	s.route("/api/admin/grades", s.legacyAdminGrades)
-	s.route("/api/admin/results", s.legacyAdminResults)
 
 	// Mounted SCORM content.
 	s.route("/package/", s.handlePackage)
@@ -332,20 +308,12 @@ func (s *Server) sessionAction(w http.ResponseWriter, r *http.Request, id, verb 
 	}
 }
 
-// startSession opens a session. The v1 route supplies examID from the URL;
-// the legacy alias passes "" and the exam ID comes from the body. Unknown
-// exams are 404 EXAM_NOT_FOUND, not a generic 400 — clients must be able to
-// tell a typo'd exam ID from a malformed request.
+// startSession opens a session on the exam named in the URL. Unknown exams
+// are 404 EXAM_NOT_FOUND, not a generic 400 — clients must be able to tell
+// a typo'd exam ID from a malformed request.
 func (s *Server) startSession(w http.ResponseWriter, r *http.Request, examID string) {
 	var req StartSessionRequest
 	if !decodeBody(w, r, &req) {
-		return
-	}
-	if examID == "" {
-		examID = req.ExamID
-	}
-	if examID == "" {
-		badRequest(w, "missing exam ID")
 		return
 	}
 	sess, err := s.engine.StartCtx(r.Context(), examID, req.StudentID, req.Seed)
@@ -442,8 +410,12 @@ func (s *Server) listGrades(w http.ResponseWriter, examID string) {
 	writeJSON(w, http.StatusOK, pending)
 }
 
-// assignGrade records an instructor's manual credit.
-func (s *Server) assignGrade(w http.ResponseWriter, r *http.Request) {
+// handleGrades records an instructor's manual credit.
+func (s *Server) handleGrades(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		methodNotAllowed(w, http.MethodPost)
+		return
+	}
 	var req GradeRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -464,14 +436,6 @@ func (s *Server) exportResults(w http.ResponseWriter, examID string) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleGrades(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return
-	}
-	s.assignGrade(w, r)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -327,10 +327,7 @@ func writeFrameTraced(w http.ResponseWriter, e events.Event, id idFn, root trace
 		sp.SetGap()
 	}
 	err := writeFrame(w, e, id)
-	if err != nil {
-		sp.SetError()
-	}
-	sp.End()
+	sp.EndErr(err)
 	return err
 }
 

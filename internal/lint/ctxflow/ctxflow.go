@@ -12,16 +12,23 @@
 // trace.Detach(ctx), which keeps the trace and request-ID linkage while
 // dropping cancelation; minting Background is never the right tool inside
 // request scope.
+//
+// The same severing hides one call away: an operation with a context form
+// keeps a context-free shim (Start beside StartCtx) for callers that have
+// no request, and the shim mints Background itself. Inside request scope a
+// call to M whose receiver type also has MCtx is flagged too.
 package ctxflow
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 
 	"mineassess/internal/lint/analysis"
 )
 
-// Analyzer flags context.Background()/TODO() inside request-scoped code.
+// Analyzer flags context.Background()/TODO() inside request-scoped code,
+// and calls there to a method M whose receiver type also has MCtx.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: `forbid minting fresh contexts inside request-scoped functions
@@ -31,7 +38,9 @@ and context-threading engine methods (name ending in "Ctx" with a
 context.Context parameter) receive the request context; calling
 context.Background() or context.TODO() there severs trace propagation and
 cancelation. Thread the incoming ctx, or use trace.Detach(ctx) for work
-that must outlive the request without losing trace linkage.`,
+that must outlive the request without losing trace linkage. Calling a
+context-free method M there when the receiver's type also has MCtx drops
+the ctx the same way, inside the shim; call MCtx instead.`,
 	Run: run,
 }
 
@@ -55,11 +64,34 @@ func run(pass *analysis.Pass) error {
 							name, fd.Name.Name)
 					}
 				}
+				if ctxName, ok := hasCtxForm(pass, call, fn); ok {
+					pass.Reportf(call.Pos(),
+						"%s inside request-scoped %s drops the request ctx: call %s",
+						fn.Name(), fd.Name.Name, ctxName)
+				}
 				return true
 			})
 		}
 	}
 	return nil
+}
+
+// hasCtxForm reports whether call invokes a method M, not itself a ctx
+// form, on a receiver whose type also has the method MCtx, and returns
+// that name.
+func hasCtxForm(pass *analysis.Pass, call *ast.CallExpr, fn *types.Func) (string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || analysis.ReceiverType(fn) == nil || strings.HasSuffix(fn.Name(), "Ctx") {
+		return "", false
+	}
+	recv := pass.TypesInfo.TypeOf(sel.X)
+	if recv == nil {
+		return "", false
+	}
+	name := fn.Name() + "Ctx"
+	obj, _, _ := types.LookupFieldOrMethod(recv, true, fn.Pkg(), name)
+	_, isFunc := obj.(*types.Func)
+	return name, isFunc
 }
 
 // requestScoped reports whether fd is an HTTP handler (has both an

@@ -1,11 +1,11 @@
 // Package slogkeys defines the slogkeys analyzer: structured log keys are
 // compile-time snake_case string constants.
 //
-// Slow-request correlation (PR 8) greps one key — request_id — across the
-// HTTP access log, the engine slow-op lines and the WAL layer. That only
-// works while every layer spells its keys identically, which is why the
-// shared constant set lives in internal/obs (LogKeyRequestID etc.) and
-// why a key built at runtime (fmt.Sprintf, concatenation) is a finding:
+// Slow-request drill-down greps the access log's request_id and follows
+// its trace_id into the tracer. That only works while every call site
+// spells its keys identically, which is why the shared constant set lives
+// in internal/obs (LogKeyRequestID, LogKeyTraceID etc.) and why a key
+// built at runtime (fmt.Sprintf, concatenation) is a finding:
 // it cannot be audited, indexed or grepped. Named constants and literals
 // both satisfy the analyzer as long as the value is snake_case.
 package slogkeys

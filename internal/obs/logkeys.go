@@ -1,21 +1,17 @@
 package obs
 
-// Structured log keys shared by every layer. The slow-request drill-down
-// workflow greps one key — request_id — across the HTTP access log, the
-// engine slow-op lines and the journal's commit warnings, so the spelling
-// must never drift between call sites. The slogkeys analyzer enforces
-// that every slog key is a compile-time snake_case constant; new keys
-// belong here, not inline, once a second call site appears.
+// Structured log keys shared by every layer, so the spelling never drifts
+// between call sites: the slow-request drill-down greps the access log's
+// request_id and follows its trace_id into the tracer. The slogkeys
+// analyzer enforces that every slog key is a compile-time snake_case
+// constant; new keys belong here, not inline, once a second call site
+// appears.
 const (
 	// LogKeyRequestID correlates one request's lines across layers.
 	LogKeyRequestID = "request_id"
-	// LogKeyLayer names the subsystem emitting a slow-op line (http,
-	// engine, wal).
-	LogKeyLayer = "layer"
-	// LogKeyOp names the operation within the layer.
-	LogKeyOp = "op"
-	// LogKeySession carries the delivery session ID.
-	LogKeySession = "session"
+	// LogKeyTraceID is the request's trace ID (hex), present when the
+	// request was traced; it resolves through the tracer's trace view.
+	LogKeyTraceID = "trace_id"
 	// LogKeyDurationMS is the elapsed wall time in milliseconds.
 	LogKeyDurationMS = "duration_ms"
 	// LogKeyMethod is the HTTP request method.

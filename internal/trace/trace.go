@@ -265,6 +265,18 @@ func (s Span) End() {
 	s.EndAt(time.Now())
 }
 
+// EndErr completes the span now, marking it failed first when err is
+// non-nil — the close of an operation that returns an error.
+func (s Span) EndErr(err error) {
+	if s.b == nil {
+		return
+	}
+	if err != nil {
+		s.SetError()
+	}
+	s.EndAt(time.Now())
+}
+
 // EndAt completes the span at an explicit end time. Ending the last open
 // span of a trace whose root has ended finalizes the trace into the sinks.
 // A second End on the same span is ignored.

@@ -8,6 +8,7 @@ package trace_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -109,6 +110,34 @@ func TestExportedSpanTree(t *testing.T) {
 	attrs := eng.Children[0].Attrs
 	if attrs["wal.op"] != "add_problem" || attrs["wal.batch"] != "3" {
 		t.Errorf("attrs = %v", attrs)
+	}
+}
+
+// TestEndErrMarksOnlyFailures: EndErr ends the span either way and marks
+// it failed only for a non-nil error.
+func TestEndErrMarksOnlyFailures(t *testing.T) {
+	tr := trace.New(trace.Options{Policy: trace.PolicyAlways, Recent: 8, Retain: 8})
+	ctx, root := tr.StartRoot(context.Background(), "POST /thing")
+	_, ok := trace.StartSpan(ctx, "engine.ok")
+	ok.EndErr(nil)
+	_, bad := trace.StartSpan(ctx, "engine.bad")
+	bad.EndErr(errors.New("boom"))
+	root.EndErr(nil)
+
+	td := tr.Trace(root.TraceIDHex())
+	if td == nil {
+		t.Fatal("trace not found after finalize")
+	}
+	if td.Reason != "error" {
+		t.Errorf("reason = %q, want error", td.Reason)
+	}
+	if td.Root.Err || len(td.Root.Children) != 2 {
+		t.Fatalf("root = %+v", td.Root)
+	}
+	for _, c := range td.Root.Children {
+		if want := c.Name == "engine.bad"; c.Err != want {
+			t.Errorf("%s error = %v, want %v", c.Name, c.Err, want)
+		}
 	}
 }
 
@@ -225,6 +254,7 @@ func TestStartSpanOnUntracedContextIsFree(t *testing.T) {
 	sp.SetError()
 	sp.SetGap()
 	sp.End()
+	sp.EndErr(errors.New("boom"))
 	if sp.TraceIDHex() != "" {
 		t.Errorf("zero span trace ID = %q", sp.TraceIDHex())
 	}

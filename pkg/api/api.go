@@ -12,11 +12,9 @@
 // no conversion layer sits between the wire and the core.
 package api
 
-// StartSessionRequest opens a fixed-form session. ExamID is taken from the
-// URL on the v1 route (POST /v1/exams/{id}/sessions) and from the body on
-// the legacy alias (POST /api/session/start).
+// StartSessionRequest opens a fixed-form session (POST
+// /v1/exams/{id}/sessions); the exam ID comes from the URL.
 type StartSessionRequest struct {
-	ExamID    string `json:"examId,omitempty"`
 	StudentID string `json:"studentId"`
 	Seed      int64  `json:"seed"`
 }
