@@ -7,6 +7,7 @@ package mineassess
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -343,6 +344,37 @@ func BenchmarkGroupFractionSweep(b *testing.B) {
 			if _, err := analysis.SplitGroups(res, f); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// The review cycle's analysis step: the full single-question analysis of a
+// 1000-sitting cohort on ten four-option items.
+func BenchmarkAnalyzeCohort(b *testing.B) {
+	res, _ := benchClass(b, 1000, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := analysis.Analyze(res, analysis.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The review cycle's export step: decoding the same cohort's results
+// export, as pkg/client does for GET /v1/exams/{id}/results.
+func BenchmarkDecodeResult(b *testing.B) {
+	res, _ := benchClass(b, 1000, 10)
+	data, err := json.Marshal(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := analysis.DecodeResult(data); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -19,9 +19,13 @@ const (
 // lower-scoring portions of the class, each holding student IDs in rank
 // order (best first for High, worst first for Low).
 type Groups struct {
-	High     []string
-	Low      []string
-	Fraction float64
+	High []string
+	Low  []string
+	// HighPos and LowPos name the same members, in the same order, by their
+	// sitting's position in ExamResult.Students, so a student who sat the
+	// exam twice can be two members.
+	HighPos, LowPos []int
+	Fraction        float64
 	// ClassSize is the total number of students split.
 	ClassSize int
 }
@@ -31,22 +35,26 @@ func (g Groups) Size() int {
 	return len(g.High)
 }
 
-// SplitGroups ranks students by score (step 1) and takes the top and bottom
-// fraction as the higher and lower groups (step 2). The group size is
-// round(n*fraction) with a floor of 1 student per group; fraction must lie in
+// SplitGroups ranks the sittings by score (step 1) and takes the top and
+// bottom fraction as the higher and lower groups (step 2). The group size is
+// round(n*fraction) with a floor of 1 sitting per group; fraction must lie in
 // the acceptable range.
 func SplitGroups(e *ExamResult, fraction float64) (Groups, error) {
+	return newMatrix(e).split(fraction)
+}
+
+func (m *matrix) split(fraction float64) (Groups, error) {
 	if fraction < MinGroupFraction || fraction > MaxGroupFraction {
 		return Groups{}, fmt.Errorf(
 			"analysis: group fraction %v outside acceptable range [%v,%v]",
 			fraction, MinGroupFraction, MaxGroupFraction)
 	}
-	if len(e.Students) < 2 {
+	n := len(m.scores)
+	if n < 2 {
 		return Groups{}, fmt.Errorf(
-			"analysis: need at least 2 students to split, have %d", len(e.Students))
+			"analysis: need at least 2 students to split, have %d", n)
 	}
-	ranked := e.RankedStudents()
-	n := len(ranked)
+	ranked := m.rank()
 	size := int(float64(n)*fraction + 0.5)
 	if size < 1 {
 		size = 1
@@ -55,27 +63,43 @@ func SplitGroups(e *ExamResult, fraction float64) (Groups, error) {
 		size = n / 2
 	}
 	g := Groups{
-		High:      append([]string(nil), ranked[:size]...),
+		High:      make([]string, size),
+		Low:       make([]string, size),
+		HighPos:   ranked[:size:size],
+		LowPos:    make([]int, size),
 		Fraction:  fraction,
 		ClassSize: n,
 	}
-	low := make([]string, size)
 	for i := 0; i < size; i++ {
-		low[i] = ranked[n-1-i]
+		g.LowPos[i] = ranked[n-1-i]
+		g.High[i] = m.e.Students[g.HighPos[i]].StudentID
+		g.Low[i] = m.e.Students[g.LowPos[i]].StudentID
 	}
-	g.Low = low
 	return g, nil
 }
 
-// contains reports whether the sorted-or-not id slice holds id. Group sizes
-// are small (a fraction of a class), so a linear scan is appropriate.
-func contains(ids []string, id string) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
+// positions returns the members as sitting positions. Groups from
+// SplitGroups carry them; in groups holding only IDs each ID resolves to the
+// last sitting under it, or to -1 when no sitting has it.
+func (g Groups) positions(e *ExamResult) (high, low []int) {
+	if len(g.HighPos) == len(g.High) && len(g.LowPos) == len(g.Low) {
+		return g.HighPos, g.LowPos
 	}
-	return false
+	last := make(map[string]int, len(e.Students))
+	for s := range e.Students {
+		last[e.Students[s].StudentID] = s
+	}
+	resolve := func(ids []string) []int {
+		out := make([]int, len(ids))
+		for i, id := range ids {
+			out[i] = -1
+			if s, ok := last[id]; ok {
+				out[i] = s
+			}
+		}
+		return out
+	}
+	return resolve(g.High), resolve(g.Low)
 }
 
 // FractionPoint is one row of the group-fraction ablation: the mean

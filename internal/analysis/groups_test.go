@@ -249,3 +249,13 @@ func TestResponseCorrect(t *testing.T) {
 		t.Error("unanswered should not be correct")
 	}
 }
+
+// contains reports whether ids holds id.
+func contains(ids []string, id string) bool {
+	for _, x := range ids {
+		if x == id {
+			return true
+		}
+	}
+	return false
+}

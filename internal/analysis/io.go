@@ -27,14 +27,23 @@ func WriteResult(w io.Writer, e *ExamResult) error {
 
 // ReadResult decodes and validates a result produced by WriteResult.
 func ReadResult(r io.Reader) (*ExamResult, error) {
-	var e ExamResult
-	if err := json.NewDecoder(r).Decode(&e); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: read result: %w", err)
+	}
+	return parseResult(data)
+}
+
+// parseResult decodes a result with DecodeResult and validates it.
+func parseResult(data []byte) (*ExamResult, error) {
+	e, err := DecodeResult(data)
+	if err != nil {
 		return nil, fmt.Errorf("analysis: decode result: %w", err)
 	}
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	return &e, nil
+	return e, nil
 }
 
 // SaveResult writes the result to a file.
@@ -55,10 +64,9 @@ func SaveResult(path string, e *ExamResult) error {
 
 // LoadResult reads a result file.
 func LoadResult(path string) (*ExamResult, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: open %s: %w", path, err)
 	}
-	defer f.Close()
-	return ReadResult(f)
+	return parseResult(data)
 }

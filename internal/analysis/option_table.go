@@ -2,7 +2,10 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+
+	"mineassess/internal/item"
 )
 
 // OptionTable is the paper's Table 1 problem-attribute table for one
@@ -111,6 +114,13 @@ func BuildOptionTable(e *ExamResult, g Groups, problemID string) (*OptionTable, 
 	if p == nil {
 		return nil, fmt.Errorf("analysis: problem %q not in exam", problemID)
 	}
+	high, low := g.positions(e)
+	return buildOptionTable(p, problemColumn(e, problemID), high, low)
+}
+
+// buildOptionTable tallies Table 1 for problem p, whose responses are c, over
+// the groups' sitting positions.
+func buildOptionTable(p *item.Problem, c column, high, low []int) (*OptionTable, error) {
 	keys := p.OptionKeys()
 	if len(keys) == 0 {
 		// True/false problems form a two-column table.
@@ -118,39 +128,41 @@ func BuildOptionTable(e *ExamResult, g Groups, problemID string) (*OptionTable, 
 		case "true", "false":
 			keys = []string{"true", "false"}
 		default:
-			return nil, fmt.Errorf("analysis: problem %q has no options to tabulate", problemID)
+			return nil, fmt.Errorf("analysis: problem %q has no options to tabulate", p.ID)
 		}
 	}
 	t := &OptionTable{
-		ProblemID:  problemID,
+		ProblemID:  p.ID,
 		Keys:       keys,
 		High:       make(map[string]int, len(keys)),
 		Low:        make(map[string]int, len(keys)),
 		CorrectKey: p.CorrectKey(),
-		HighSize:   len(g.High),
-		LowSize:    len(g.Low),
+		HighSize:   len(high),
+		LowSize:    len(low),
 	}
-	valid := make(map[string]struct{}, len(keys))
-	for _, k := range keys {
-		valid[k] = struct{}{}
-	}
-	byProblem := e.responsesByProblem()[problemID]
-	tally := func(ids []string, counts map[string]int, unanswered *int) {
-		for _, sid := range ids {
-			r, ok := byProblem[sid]
-			if !ok || !r.Answered {
+	counts := make([]int, len(keys))
+	tally := func(group []int, out map[string]int, unanswered *int) {
+		clear(counts)
+		for _, s := range group {
+			k := -1
+			if r := c.at(s); r != nil && r.Answered {
+				k = slices.Index(keys, r.Option)
+			}
+			if k < 0 {
 				*unanswered++
 				continue
 			}
-			if _, known := valid[r.Option]; known {
-				counts[r.Option]++
-			} else {
-				*unanswered++
+			counts[k]++
+		}
+		// Only selected options get an entry, as a map tally would.
+		for k, n := range counts {
+			if n > 0 {
+				out[keys[k]] = n
 			}
 		}
 	}
-	tally(g.High, t.High, &t.HighUnanswered)
-	tally(g.Low, t.Low, &t.LowUnanswered)
+	tally(high, t.High, &t.HighUnanswered)
+	tally(low, t.Low, &t.LowUnanswered)
 	return t, nil
 }
 

@@ -86,21 +86,22 @@ func Analyze(e *ExamResult, opts Options) (*ExamAnalysis, error) {
 	if fraction == 0 {
 		fraction = DefaultGroupFraction
 	}
-	groups, err := SplitGroups(e, fraction)
+	m := newMatrix(e)
+	groups, err := m.split(fraction)
 	if err != nil {
 		return nil, err
 	}
 	out := &ExamAnalysis{ExamID: e.ExamID, Groups: groups}
-	byProblem := e.responsesByProblem()
 	for i, p := range e.Problems {
 		q := &QuestionReport{
 			Number:    i + 1,
 			ProblemID: p.ID,
 		}
-		q.OverallP = overallDifficulty(byProblem[p.ID], len(e.Students))
+		c := m.column(i)
+		q.OverallP = overallDifficulty(c)
 
 		if p.CorrectKey() != "" {
-			table, err := BuildOptionTable(e, groups, p.ID)
+			table, err := buildOptionTable(p, c, groups.HighPos, groups.LowPos)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: question %d: %w", i+1, err)
 			}
@@ -115,8 +116,8 @@ func Analyze(e *ExamResult, opts Options) (*ExamAnalysis, error) {
 			q.Distractors = AnalyzeDistraction(table)
 		} else {
 			// Non-choice problems: derive PH/PL from credit directly.
-			q.PH = groupProportion(byProblem[p.ID], groups.High)
-			q.PL = groupProportion(byProblem[p.ID], groups.Low)
+			q.PH = groupProportion(c, groups.HighPos)
+			q.PL = groupProportion(c, groups.LowPos)
 			q.D = q.PH - q.PL
 			q.P = (q.PH + q.PL) / 2
 			q.Signal = EvaluateSignal(q.D, q.Rules)
@@ -126,27 +127,27 @@ func Analyze(e *ExamResult, opts Options) (*ExamAnalysis, error) {
 	return out, nil
 }
 
-// overallDifficulty is §3.3 III: P = R/N over the whole class.
-func overallDifficulty(responses map[string]Response, classSize int) float64 {
-	if classSize == 0 {
+// overallDifficulty is §3.3 III: P = R/N over every sitting of the class.
+func overallDifficulty(c column) float64 {
+	if len(c.cells) == 0 {
 		return 0
 	}
 	right := 0
-	for _, r := range responses {
-		if r.Correct() {
+	for s := range c.cells {
+		if r := c.at(s); r != nil && r.Correct() {
 			right++
 		}
 	}
-	return float64(right) / float64(classSize)
+	return float64(right) / float64(len(c.cells))
 }
 
-func groupProportion(responses map[string]Response, group []string) float64 {
+func groupProportion(c column, group []int) float64 {
 	if len(group) == 0 {
 		return 0
 	}
 	right := 0
-	for _, sid := range group {
-		if r, ok := responses[sid]; ok && r.Correct() {
+	for _, s := range group {
+		if r := c.at(s); r != nil && r.Correct() {
 			right++
 		}
 	}

@@ -47,15 +47,17 @@ func (q QuestionnaireSummary) Mode() string {
 // answer (a Likert key, a category, or short text).
 func SummarizeQuestionnaires(e *ExamResult) []QuestionnaireSummary {
 	var out []QuestionnaireSummary
-	byProblem := e.responsesByProblem()
-	for _, p := range e.Problems {
+	m := newMatrix(e)
+	for i, p := range e.Problems {
 		if p.Style != item.Questionnaire {
 			continue
 		}
 		sum := QuestionnaireSummary{ProblemID: p.ID, Total: len(e.Students)}
 		freq := make(map[string]int)
-		for _, r := range byProblem[p.ID] {
-			if !r.Answered {
+		c := m.column(i)
+		for s := range c.cells {
+			r := c.at(s)
+			if r == nil || !r.Answered {
 				continue
 			}
 			sum.Answered++

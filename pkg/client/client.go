@@ -130,17 +130,33 @@ func New(baseURL string, opts ...Option) *Client {
 // do issues one request. in == nil sends no body; out == nil discards the
 // response body. Non-2xx responses become *APIError.
 func (c *Client) do(method, path string, in, out any) error {
+	resp, err := c.send(method, path, in)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if out != nil && resp.StatusCode != http.StatusNoContent {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
+		}
+	}
+	return nil
+}
+
+// send issues one request and returns the response for the caller to read
+// and close. Responses with status 400 or above become *APIError.
+func (c *Client) send(method, path string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
 		raw, err := json.Marshal(in)
 		if err != nil {
-			return fmt.Errorf("client: marshal request: %w", err)
+			return nil, fmt.Errorf("client: marshal request: %w", err)
 		}
 		body = bytes.NewReader(raw)
 	}
 	req, err := http.NewRequest(method, c.base+path, body)
 	if err != nil {
-		return fmt.Errorf("client: build request: %w", err)
+		return nil, fmt.Errorf("client: build request: %w", err)
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -150,18 +166,13 @@ func (c *Client) do(method, path string, in, out any) error {
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		return decodeAPIError(resp)
+		defer resp.Body.Close()
+		return nil, decodeAPIError(resp)
 	}
-	if out != nil && resp.StatusCode != http.StatusNoContent {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
-		}
-	}
-	return nil
+	return resp, nil
 }
 
 // decodeAPIError reads the error envelope; a body that is not an envelope
@@ -398,13 +409,27 @@ func (c *Client) AssignGrade(sessionID, problemID string, credit float64) error 
 		api.GradeRequest{SessionID: sessionID, ProblemID: problemID, Credit: credit}, nil)
 }
 
-// Results exports the exam's collected response matrix for analysis.
+// Results exports the exam's collected response matrix for analysis. The
+// body is decoded by analysis.DecodeResult, which reads the export without
+// reflection.
 func (c *Client) Results(examID string) (*analysis.ExamResult, error) {
-	var out analysis.ExamResult
-	if err := c.do(http.MethodGet, "/v1/exams/"+url.PathEscape(examID)+"/results", nil, &out); err != nil {
+	path := "/v1/exams/" + url.PathEscape(examID) + "/results"
+	resp, err := c.send(http.MethodGet, path, nil)
+	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	defer resp.Body.Close()
+	// A bytes.Buffer doubles as it grows; io.ReadAll grows by a quarter,
+	// copying a megabyte export several times more.
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		return nil, fmt.Errorf("client: read GET %s response: %w", path, err)
+	}
+	out, err := analysis.DecodeResult(body.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("client: decode GET %s response: %w", path, err)
+	}
+	return out, nil
 }
 
 // Metrics fetches the server's metrics snapshot.
