@@ -238,7 +238,7 @@ func BenchmarkSensitivity(b *testing.B) {
 
 // E16 — SCORM packaging of a 50-item exam, zip round trip included.
 func BenchmarkSCORMPackage(b *testing.B) {
-	store := bank.New()
+	store := bank.NewSharded(0)
 	var ids []string
 	for i := 0; i < 50; i++ {
 		p, err := item.NewMultipleChoice(fmt.Sprintf("q%03d", i+1), "bench",
@@ -427,7 +427,7 @@ func BenchmarkEngineParallelSessions(b *testing.B) {
 		newStore func() bank.Storage
 		shards   int
 	}{
-		{"1shard", func() bank.Storage { return bank.New() }, 1},
+		{"1shard", func() bank.Storage { return bank.NewSharded(1) }, 1},
 		{"sharded", func() bank.Storage { return bank.NewSharded(0) }, delivery.DefaultSessionShards},
 	}
 	for _, cfg := range configs {

@@ -45,7 +45,7 @@ func TestSeedCreatesLoadableBank(t *testing.T) {
 }
 
 func TestSeedBankStyles(t *testing.T) {
-	store := bank.New()
+	store := bank.NewSharded(0)
 	if _, err := SeedBank(store, 25, 4); err != nil {
 		t.Fatal(err)
 	}

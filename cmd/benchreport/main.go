@@ -399,7 +399,7 @@ func runE15(seed int64) error {
 }
 
 func runE16(int64) error {
-	store := bank.New()
+	store := bank.NewSharded(0)
 	var ids []string
 	for i := 0; i < 50; i++ {
 		p, err := item.NewMultipleChoice(fmt.Sprintf("q%03d", i+1), "packaged",

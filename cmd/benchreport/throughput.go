@@ -59,7 +59,7 @@ type engineConfig struct {
 
 func throughputConfigs() []engineConfig {
 	return []engineConfig{
-		{"reference-store/1-shard-engine", func() bank.Storage { return bank.New() }, 1},
+		{"1-shard-store/1-shard-engine", func() bank.Storage { return bank.NewSharded(1) }, 1},
 		{"sharded-store/sharded-engine", func() bank.Storage { return bank.NewSharded(0) }, delivery.DefaultSessionShards},
 	}
 }

@@ -10,9 +10,9 @@
 // Usage:
 //
 //	examserver -bank bank.json -addr :8080 [-monitor 64]
-//	           [-backend sharded] [-shards 32] [-journal DIR] [-fsync group]
-//	           [-wal-codec json|binary] [-session-shards 32] [-drain 30s]
-//	           [-rate 50 -burst 100] [-quiet] [-log-format text|json]
+//	           [-journal DIR] [-fsync group] [-wal-codec json|binary]
+//	           [-drain 30s] [-rate 50 -burst 100] [-quiet]
+//	           [-log-format text|json]
 //	           [-slow-request 250ms] [-ops 127.0.0.1:6060]
 //	           [-events] [-event-log DIR] [-event-ring 1024]
 //	           [-event-log-max-bytes N]
@@ -116,11 +116,8 @@ func run(args []string) error {
 	contentExam := fs.String("content", "", "exam ID to package and serve under /package/ (empty = first exam)")
 	readTimeout := fs.Duration("read-timeout", 10*time.Second, "HTTP read timeout")
 	writeTimeout := fs.Duration("write-timeout", 10*time.Second, "HTTP write timeout")
-	backend := fs.String("backend", "sharded", "storage backend: memory or sharded")
-	shards := fs.Int("shards", bank.DefaultShards, "bank shard count (sharded backend)")
 	journalDir := fs.String("journal", "", "write-ahead-log directory (empty disables journaling)")
 	fsync := fs.String("fsync", string(bank.SyncGroup), "WAL sync policy: always, group or none (with -journal)")
-	sessionShards := fs.Int("session-shards", delivery.DefaultSessionShards, "session registry shard count")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	rate := fs.Float64("rate", 0, "per-learner rate limit in requests/second (0 explicitly disables the limiter)")
 	burst := fs.Int("burst", 20, "per-learner rate-limit burst capacity")
@@ -167,12 +164,8 @@ func run(args []string) error {
 		"Live goroutine count.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	store, err := bank.Open(*bankPath, bank.Options{
-		Backend: *backend,
-		Shards:  *shards,
-		Journal: *journalDir,
-		Sync:    syncPolicy,
-		Codec:   codec,
-		Obs:     reg,
+		Journal:        *journalDir,
+		JournalOptions: bank.JournalOptions{Sync: syncPolicy, Codec: codec, Obs: reg},
 	})
 	if err != nil {
 		return err
@@ -192,7 +185,7 @@ func run(args []string) error {
 	if len(exams) == 0 {
 		return fmt.Errorf("bank %s holds no exams; seed one with assessctl", *bankPath)
 	}
-	engine := delivery.NewShardedEngine(store, nil, *monitorCap, *sessionShards)
+	engine := delivery.NewEngine(store, nil, *monitorCap)
 	// The adaptive engine restores any persisted CAT sessions from the
 	// bank — with -journal, live adaptive sittings survive a restart.
 	cat, err := catdelivery.NewEngine(store, nil, *monitorCap)
@@ -318,8 +311,8 @@ func run(args []string) error {
 		ReadTimeout:  *readTimeout,
 		WriteTimeout: *writeTimeout,
 	}
-	log.Printf("examserver: serving %d problem(s), exams %v on %s (%s backend)",
-		store.ProblemCount(), exams, *addr, *backend)
+	log.Printf("examserver: serving %d problem(s), exams %v on %s",
+		store.ProblemCount(), exams, *addr)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()

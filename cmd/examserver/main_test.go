@@ -16,7 +16,7 @@ func TestRunMissingBank(t *testing.T) {
 }
 
 func TestRunBankWithoutExams(t *testing.T) {
-	store := bank.New()
+	store := bank.NewSharded(0)
 	p, err := item.NewMultipleChoice("q1", "?", []string{"a", "b"}, 0)
 	if err != nil {
 		t.Fatal(err)

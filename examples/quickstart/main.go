@@ -22,8 +22,8 @@ func main() {
 }
 
 func run() error {
-	// Any bank.Storage backend plugs into the pipeline; the sharded store
-	// is the production choice (core.New() gives the reference store).
+	// Any bank.Storage backend plugs into the pipeline: the in-memory
+	// sharded store here, a journaled one in production.
 	pipe := core.NewWith(bank.NewSharded(0))
 
 	// 1. Author problems: a spread of styles, concepts and Bloom levels.

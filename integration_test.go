@@ -37,10 +37,9 @@ import (
 	"mineassess/pkg/client"
 )
 
-// authorCourse builds a bank with 8 problems over 2 concepts and one exam.
-// It authors over the sharded backend so every integration path below runs
-// on the production storage arrangement (the reference Store is covered by
-// the bank package's conformance suite).
+// authorCourse builds a bank with 8 problems over 2 concepts and one exam,
+// over an 8-shard store (the bank package's conformance suite covers the
+// other shard counts).
 func authorCourse(t *testing.T) (bank.Storage, string) {
 	t.Helper()
 	return authorCourseInto(t, bank.NewSharded(8))
@@ -257,7 +256,7 @@ func TestExchangeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := bank.New()
+	fresh := bank.NewSharded(0)
 	for i := range doc.Items {
 		p, err := qti.Import(&doc.Items[i])
 		if err != nil {

@@ -15,9 +15,9 @@ import (
 
 // bankWith builds a store holding `perCell` problems for every concept in
 // conceptIDs at every given level.
-func bankWith(t *testing.T, conceptIDs []string, levels []cognition.Level, perCell int) *bank.Store {
+func bankWith(t *testing.T, conceptIDs []string, levels []cognition.Level, perCell int) *bank.Sharded {
 	t.Helper()
-	s := bank.New()
+	s := bank.NewSharded(0)
 	n := 0
 	for _, c := range conceptIDs {
 		for _, l := range levels {
@@ -170,7 +170,7 @@ func TestExamDraftLifecycle(t *testing.T) {
 }
 
 func TestExamDraftFinalizeErrors(t *testing.T) {
-	s := bank.New()
+	s := bank.NewSharded(0)
 	empty := NewExamDraft("e1", "t")
 	if _, err := empty.Finalize(s); !errors.Is(err, ErrEmptyExam) {
 		t.Errorf("empty draft = %v, want ErrEmptyExam", err)
@@ -337,14 +337,14 @@ func TestParallelFormsOddCell(t *testing.T) {
 }
 
 func TestParallelFormsMissingProblem(t *testing.T) {
-	s := bank.New()
+	s := bank.NewSharded(0)
 	if _, _, err := ParallelForms(s, []string{"ghost"}); err == nil {
 		t.Error("missing problem should fail")
 	}
 }
 
 func TestCoverageTableSkipsUnclassified(t *testing.T) {
-	s := bank.New()
+	s := bank.NewSharded(0)
 	p, err := item.NewMultipleChoice("q1", "?", []string{"a", "b"}, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 package bank
 
-// Shared conformance suite: every Storage backend — the reference Store, the
-// sharded store, and a Journal over either — must expose identical
-// behaviour. New backends plug into storageBackends and inherit the whole
-// suite.
+// Shared conformance suite: the sharded store at every shard count and a
+// Journal over it under every sync policy and codec must expose identical
+// behaviour. New configurations plug into storageBackends and inherit the
+// whole suite.
 
 import (
 	"errors"
@@ -18,16 +18,28 @@ import (
 	"mineassess/internal/simulate"
 )
 
-// storageBackends enumerates every backend under conformance test. The
+// storageBackends enumerates every configuration under conformance test.
+// The "reference" rows are the configurations Open builds by default
+// (DefaultShards; a journal with every option at its zero value). The
 // factory may register cleanups (journal close) on t.
 func storageBackends(t *testing.T) map[string]func(t *testing.T) Storage {
 	t.Helper()
 	return map[string]func(t *testing.T) Storage{
-		"reference": func(t *testing.T) Storage { return New() },
+		"reference": func(t *testing.T) Storage { return NewSharded(0) },
 		"sharded":   func(t *testing.T) Storage { return NewSharded(8) },
 		"sharded1":  func(t *testing.T) Storage { return NewSharded(1) },
 		"journal/reference": func(t *testing.T) Storage {
-			j, err := OpenJournal(t.TempDir(), New(), 0)
+			j, err := OpenJournalWith(t.TempDir(), nil, JournalOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = j.Close() })
+			return j
+		},
+		// The single-shard store under a journal: one lock below the
+		// journal's ordering lock.
+		"journal/sharded1": func(t *testing.T) Storage {
+			j, err := OpenJournal(t.TempDir(), NewSharded(1), 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,6 +295,32 @@ func TestConformanceHistoryAndRollback(t *testing.T) {
 		}
 		if _, err := s.Rollback("ghost"); !errors.Is(err, ErrProblemNotFound) {
 			t.Errorf("rollback missing = %v", err)
+		}
+
+		// Update, rollback, update: revision numbers never repeat and the
+		// current version stays ahead of every recorded revision.
+		r := confMC(t, "r1")
+		if err := s.AddProblem(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UpdateProblem(r.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Rollback("r1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UpdateProblem(r.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		var nums []int
+		for _, rev := range s.History("r1") {
+			nums = append(nums, rev.Version)
+		}
+		if want := []int{2, 3}; !reflect.DeepEqual(nums, want) {
+			t.Errorf("History versions after update/rollback/update = %v, want %v", nums, want)
+		}
+		if got := s.Version("r1"); got != 4 {
+			t.Errorf("Version after update/rollback/update = %d, want 4", got)
 		}
 	})
 }

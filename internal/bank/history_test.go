@@ -5,7 +5,7 @@ import (
 )
 
 func TestHistoryTracksUpdates(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	p := mustMC(t, "q1")
 	if err := s.AddProblem(p); err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestHistoryTracksUpdates(t *testing.T) {
 }
 
 func TestRollback(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	p := mustMC(t, "q1")
 	if err := s.AddProblem(p); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestRollback(t *testing.T) {
 }
 
 func TestRollbackErrors(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	if _, err := s.Rollback("absent"); err == nil {
 		t.Error("unknown problem should fail")
 	}
@@ -98,7 +98,7 @@ func TestRollbackErrors(t *testing.T) {
 }
 
 func TestDeleteClearsHistory(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	p := mustMC(t, "q1")
 	if err := s.AddProblem(p); err != nil {
 		t.Fatal(err)

@@ -66,10 +66,10 @@ type walSink interface {
 }
 
 // Journal adds write-ahead durability to any Storage backend. Instead of
-// rewriting the whole bank file on every change (the reference Store's Save
-// is O(bank)), each mutation appends one JSON line to a WAL; reopening the
-// journal replays snapshot + WAL to rebuild the backend. Once CompactEvery
-// mutations accumulate, the journal folds the WAL into a fresh snapshot and
+// rewriting the whole bank file on every change (Save is O(bank)), each
+// mutation appends one JSON line to a WAL; reopening the journal replays
+// snapshot + WAL to rebuild the backend. Once CompactEvery mutations
+// accumulate, the journal folds the WAL into a fresh snapshot and
 // truncates it, bounding both recovery time and log growth.
 //
 // Write path (group commit): a mutation applies to the backend and enqueues
@@ -248,6 +248,7 @@ type JournalOptions struct {
 // OpenJournalWith is OpenJournal with explicit sync and codec options. The
 // codec governs appended records only: replay detects JSON lines and binary
 // frames per record, so a WAL written under either codec reopens under any.
+// A nil backend means NewSharded(0).
 func OpenJournalWith(dir string, backend Storage, opts JournalOptions) (*Journal, error) {
 	policy, err := ParseSyncPolicy(string(opts.Sync))
 	if err != nil {
@@ -259,7 +260,7 @@ func OpenJournalWith(dir string, backend Storage, opts JournalOptions) (*Journal
 	}
 	compactEvery := opts.CompactEvery
 	if backend == nil {
-		backend = New()
+		backend = NewSharded(0)
 	}
 	if backend.ProblemCount() != 0 || len(backend.ExamIDs()) != 0 ||
 		len(backend.AdaptiveSessionIDs()) != 0 {

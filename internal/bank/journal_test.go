@@ -91,10 +91,12 @@ func TestJournalReplayAfterReopen(t *testing.T) {
 	if p.Question != "question for q2" {
 		t.Errorf("rollback not replayed: question = %q", p.Question)
 	}
-	if got := back.Version("q2"); got != 2 {
-		t.Errorf("replayed Version(q2) = %d, want 2", got)
+	// The rollback minted version 3; the displaced revision is number 2.
+	if got := back.Version("q2"); got != 3 {
+		t.Errorf("replayed Version(q2) = %d, want 3", got)
 	}
-	if hist := back.History("q2"); len(hist) != 1 || hist[0].Problem.Question != "second thoughts" {
+	if hist := back.History("q2"); len(hist) != 1 || hist[0].Version != 2 ||
+		hist[0].Problem.Question != "second thoughts" {
 		t.Errorf("replayed history = %+v", hist)
 	}
 	if _, err := back.Exam("e"); err != nil {
@@ -107,7 +109,7 @@ func TestJournalReplayAfterReopen(t *testing.T) {
 // snapshot stay absent until compaction while the WAL grows linearly.
 func TestJournalWALAppendOnly(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, New(), 1_000_000)
+	j, err := OpenJournal(dir, NewSharded(0), 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 // line; reopen must recover everything before it and keep working.
 func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, New(), 1000)
+	j, err := OpenJournal(dir, NewSharded(0), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +211,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	back, err := OpenJournal(dir, New(), 1000)
+	back, err := OpenJournal(dir, NewSharded(0), 1000)
 	if err != nil {
 		t.Fatalf("reopen over torn wal: %v", err)
 	}
@@ -231,10 +233,13 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
-func TestOpenBackendSelection(t *testing.T) {
+// TestOpenSeedsJournalOnce: without a journal Open loads the bank file into
+// a Sharded store; with one, the bank file seeds only the first boot and the
+// journal is authoritative afterwards, even when the bank file changes.
+func TestOpenSeedsJournalOnce(t *testing.T) {
 	dir := t.TempDir()
 	bankPath := filepath.Join(dir, "bank.json")
-	seed := New()
+	seed := NewSharded(0)
 	for i := 0; i < 4; i++ {
 		if err := seed.AddProblem(confMC(t, fmt.Sprintf("q%d", i))); err != nil {
 			t.Fatal(err)
@@ -247,7 +252,7 @@ func TestOpenBackendSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := Open(bankPath, Options{Backend: "sharded", Shards: 8})
+	s, err := Open(bankPath, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +265,8 @@ func TestOpenBackendSelection(t *testing.T) {
 
 	// Journaled open: first boot imports the bank file...
 	jdir := filepath.Join(dir, "journal")
-	js, err := Open(bankPath, Options{Backend: "sharded", Journal: jdir})
+	opts := Options{Journal: jdir, JournalOptions: JournalOptions{Codec: CodecBinary}}
+	js, err := Open(bankPath, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,14 +274,24 @@ func TestOpenBackendSelection(t *testing.T) {
 	if got := j.ProblemCount(); got != 4 {
 		t.Errorf("journal first boot count = %d", got)
 	}
+	if got := j.Codec(); got != CodecBinary {
+		t.Errorf("journal codec = %q, want the embedded option %q", got, CodecBinary)
+	}
 	if err := j.AddProblem(confMC(t, "q9")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// ...second boot replays the journal and must NOT re-import.
-	js2, err := Open(bankPath, Options{Backend: "sharded", Journal: jdir})
+	// ...second boot replays the journal and must NOT re-import, even a
+	// bank file that has grown since.
+	if err := seed.AddProblem(confMC(t, "q4")); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Save(bankPath); err != nil {
+		t.Fatal(err)
+	}
+	js2, err := Open(bankPath, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +299,8 @@ func TestOpenBackendSelection(t *testing.T) {
 	if got := js2.ProblemCount(); got != 5 {
 		t.Errorf("journal second boot count = %d, want 5", got)
 	}
-
-	if _, err := Open(bankPath, Options{Backend: "bogus"}); err == nil {
-		t.Error("bogus backend accepted")
+	if _, err := js2.Problem("q4"); !errors.Is(err, ErrProblemNotFound) {
+		t.Errorf("second boot re-imported the bank file: Problem(q4) err = %v", err)
 	}
 }
 
@@ -474,7 +489,7 @@ func TestJournalCompactionCrashOverlap(t *testing.T) {
 // journaled and replayed across reopen — the crash-safe live-CAT path.
 func TestJournalAdaptiveSessionReplay(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, New(), 0)
+	j, err := OpenJournal(dir, NewSharded(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +511,7 @@ func TestJournalAdaptiveSessionReplay(t *testing.T) {
 	}
 	// Close WITHOUT compacting would be ideal; Close compacts, so reopen
 	// twice: once from the WAL (no close), once from the snapshot.
-	reopened, err := OpenJournal(dir, New(), 0)
+	reopened, err := OpenJournal(dir, NewSharded(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +525,7 @@ func TestJournalAdaptiveSessionReplay(t *testing.T) {
 	if err := reopened.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fromSnapshot, err := OpenJournal(dir, New(), 0)
+	fromSnapshot, err := OpenJournal(dir, NewSharded(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,9 @@ func writeFile(path, content string) error {
 
 // seededStore builds a bank with a spread of subjects, styles, levels and
 // measured indices.
-func seededStore(t *testing.T) *Store {
+func seededStore(t *testing.T) *Sharded {
 	t.Helper()
-	s := New()
+	s := NewSharded(0)
 	add := func(p *item.Problem) {
 		t.Helper()
 		if err := s.AddProblem(p); err != nil {

@@ -8,19 +8,21 @@ import (
 	"sync"
 
 	"mineassess/internal/item"
+	"mineassess/internal/shard"
 )
 
 // DefaultShards is the shard count NewSharded uses when given n <= 0.
 const DefaultShards = 32
 
-// Sharded is the high-concurrency bank backend: records are spread over N
-// shards keyed by FNV-1a hash of their ID, each shard guarded by its own
-// RWMutex, so writers to unrelated IDs never contend and readers proceed in
-// parallel with each other. Cross-shard views (ProblemIDs, Search, Save)
-// lock one shard at a time — there is no stop-the-world lock anywhere.
+// Sharded is the in-memory bank: records are spread over N shards keyed by
+// shard.Index of their ID, each shard guarded by its own RWMutex, so writers
+// to unrelated IDs never contend and readers proceed in parallel with each
+// other. Cross-shard views (ProblemIDs, Search, Save) lock one shard at a
+// time — there is no stop-the-world lock anywhere. NewSharded(1) keeps
+// everything under one lock.
 //
-// Consistency note: operations touching a single ID are as atomic as on the
-// reference Store. AddExam's referenced-problem validation spans shards and
+// Consistency note: every operation touching a single ID is atomic under
+// its shard lock. AddExam's referenced-problem validation spans shards and
 // is checked without a global lock, so a problem deleted concurrently with
 // AddExam may leave a dangling reference — the same window LMS replicas
 // have in any distributed deployment. A dangling exam persists and reloads
@@ -58,7 +60,7 @@ func NewSharded(n int) *Sharded {
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
 func (s *Sharded) shard(id string) *bankShard {
-	return &s.shards[shardIndex(id, len(s.shards))]
+	return &s.shards[shard.Index(id, len(s.shards))]
 }
 
 // AddProblem validates and stores a copy of the problem.
@@ -89,7 +91,7 @@ func (s *Sharded) UpdateProblem(p *item.Problem) error {
 		return fmt.Errorf("%w: %s", ErrProblemNotFound, p.ID)
 	}
 	sh.history[p.ID] = append(sh.history[p.ID], Revision{
-		Version: len(sh.history[p.ID]) + 1,
+		Version: currentVersion(sh.history[p.ID]),
 		Problem: old,
 	})
 	sh.problems[p.ID] = p.Clone()
@@ -202,9 +204,9 @@ func (s *Sharded) putExamUnchecked(e *ExamRecord) error {
 
 // UpdateExam replaces an existing exam record after the same cross-shard
 // reference validation as AddExam (and with the same concurrent-delete
-// window; see the type comment). Preconditions are checked in the same
-// order as Store.UpdateExam — exam existence before problem references —
-// so every backend reports the same sentinel for the same bad input.
+// window; see the type comment). Exam existence is checked before problem
+// references, so an update of a missing exam reports ErrExamNotFound even
+// when its references are bad too.
 func (s *Sharded) UpdateExam(e *ExamRecord) error {
 	sh := s.shard(e.ID)
 	sh.mu.RLock()
@@ -381,7 +383,7 @@ func (s *Sharded) CountByStyle() map[item.Style]int {
 }
 
 // History returns a problem's superseded versions, oldest first, as deep
-// copies.
+// copies. A problem that was never updated has no history.
 func (s *Sharded) History(id string) []Revision {
 	sh := s.shard(id)
 	sh.mu.RLock()
@@ -395,7 +397,8 @@ func (s *Sharded) History(id string) []Revision {
 }
 
 // Rollback restores the most recent superseded version of a problem,
-// pushing the current version onto the history.
+// pushing the current version onto the history (so a rollback can itself
+// be rolled back). It fails when there is no history.
 func (s *Sharded) Rollback(id string) (*item.Problem, error) {
 	sh := s.shard(id)
 	sh.mu.Lock()
@@ -410,7 +413,7 @@ func (s *Sharded) Rollback(id string) (*item.Problem, error) {
 	}
 	last := revs[len(revs)-1]
 	sh.history[id] = append(revs[:len(revs)-1], Revision{
-		Version: last.Version + 1,
+		Version: currentVersion(revs),
 		Problem: cur,
 	})
 	sh.problems[id] = last.Problem
@@ -423,7 +426,18 @@ func (s *Sharded) Version(id string) int {
 	sh := s.shard(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.history[id]) + 1
+	return currentVersion(sh.history[id])
+}
+
+// currentVersion is the version number of the problem whose superseded
+// revisions are revs: one past the newest revision, 1 without history.
+// Updates and rollbacks both stamp the problem they displace with it, so
+// numbers never repeat.
+func currentVersion(revs []Revision) int {
+	if len(revs) == 0 {
+		return 1
+	}
+	return revs[len(revs)-1].Version + 1
 }
 
 // Save writes the whole store to path as one JSON bank file.

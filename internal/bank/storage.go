@@ -8,13 +8,12 @@ import (
 	"path/filepath"
 
 	"mineassess/internal/item"
-	"mineassess/internal/obs"
 )
 
 // Storage is the problem & exam database contract. The engine, the authoring
-// tools and the CLIs program against this interface; *Store is the reference
-// implementation and *Sharded the high-concurrency one. A *Journal wraps
-// either with write-ahead durability.
+// tools and the CLIs program against this interface; *Sharded is the
+// in-memory implementation and a *Journal wraps it with write-ahead
+// durability.
 //
 // All implementations copy on the way in and on the way out: callers never
 // share memory with the store, so a returned problem can be mutated freely.
@@ -58,26 +57,12 @@ type Storage interface {
 
 // Compile-time conformance of the built-in backends.
 var (
-	_ Storage = (*Store)(nil)
 	_ Storage = (*Sharded)(nil)
 	_ Storage = (*Journal)(nil)
 )
 
-// shardIndex maps an ID onto one of n shards with FNV-1a, inlined so the
-// hot path allocates nothing. The delivery engine's session registry uses
-// the same scheme (its own copy — packages don't share unexported helpers)
-// so hot-key behaviour is predictable across layers.
-func shardIndex(id string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
-}
-
-// WriteSnapshot exports any Storage as a bank JSON file (the same format
-// Store.Save writes and Load reads). The write goes through a temp file +
+// WriteSnapshot exports any Storage as a bank JSON file (the format Save
+// writes and Load reads). The write goes through a temp file +
 // rename so readers never observe a torn snapshot. The scan takes no
 // scan-wide lock on any backend, so concurrent mutations interleave: a
 // record deleted between the ID listing and the fetch is omitted, and the
@@ -219,8 +204,8 @@ func readSnapshotFile(path string) (*snapshot, error) {
 	return &snap, nil
 }
 
-// examPutter is the unchecked exam-insert hook the built-in backends
-// provide for snapshot loading.
+// examPutter is the unchecked exam-insert hook Sharded and Journal provide
+// for snapshot loading.
 type examPutter interface {
 	putExamUnchecked(e *ExamRecord) error
 }
@@ -257,42 +242,13 @@ func loadSnapshot(snap *snapshot, dst Storage) error {
 	return nil
 }
 
-// NewBackend constructs an in-memory backend by name: "memory" (or empty)
-// for the reference Store, "sharded" for the sharded store. The single
-// registry of backend names — CLIs resolve their -backend flags here.
-func NewBackend(name string, shards int) (Storage, error) {
-	switch name {
-	case "", "memory":
-		return New(), nil
-	case "sharded":
-		return NewSharded(shards), nil
-	default:
-		return nil, fmt.Errorf("bank: unknown backend %q (memory or sharded)", name)
-	}
-}
-
-// Options selects a storage backend for Open.
+// Options configures Open. The embedded JournalOptions apply only with a
+// journal.
 type Options struct {
-	// Backend is "memory" (the reference Store, default) or "sharded".
-	Backend string
-	// Shards is the sharded backend's shard count; 0 means DefaultShards.
-	Shards int
 	// Journal, when non-empty, is a directory holding the write-ahead log
 	// and its snapshot; mutations are journaled and replayed on reopen.
 	Journal string
-	// CompactEvery bounds WAL growth (see OpenJournal); 0 means the default.
-	CompactEvery int
-	// Sync selects the journal's WAL sync policy (SyncAlways, SyncGroup or
-	// SyncNone); empty means SyncGroup. Ignored without a journal.
-	Sync SyncPolicy
-	// Codec selects the journal's WAL record encoding (CodecJSON or
-	// CodecBinary); empty means CodecJSON. Replay auto-detects the format
-	// per record, so an existing WAL opens under either setting. Ignored
-	// without a journal.
-	Codec Codec
-	// Obs, when non-nil, receives the journal's metrics (see
-	// JournalOptions.Obs). Ignored without a journal.
-	Obs *obs.Registry
+	JournalOptions
 }
 
 // Open builds a Storage from options. When journaling is enabled the
@@ -302,10 +258,7 @@ type Options struct {
 // seed. Without a journal, the bank file is loaded directly (a missing path
 // errors, matching Load).
 func Open(path string, o Options) (Storage, error) {
-	backend, err := NewBackend(o.Backend, o.Shards)
-	if err != nil {
-		return nil, err
-	}
+	backend := NewSharded(0)
 	if o.Journal == "" {
 		if err := LoadInto(path, backend); err != nil {
 			return nil, err
@@ -337,7 +290,7 @@ func Open(path string, o Options) (Storage, error) {
 		}
 		// Validate the parsed records in a scratch store before touching
 		// the journal directory.
-		if err := loadSnapshot(snap, New()); err != nil {
+		if err := loadSnapshot(snap, NewSharded(0)); err != nil {
 			return nil, err
 		}
 		// Publish the seed as the journal's initial snapshot in one atomic
@@ -349,12 +302,7 @@ func Open(path string, o Options) (Storage, error) {
 			return nil, err
 		}
 	}
-	return OpenJournalWith(o.Journal, backend, JournalOptions{
-		CompactEvery: o.CompactEvery,
-		Sync:         o.Sync,
-		Codec:        o.Codec,
-		Obs:          o.Obs,
-	})
+	return OpenJournalWith(o.Journal, backend, o.JournalOptions)
 }
 
 // journalPaths returns the snapshot and WAL file paths inside dir.

@@ -22,7 +22,7 @@ func mustMC(t *testing.T, id string) *item.Problem {
 }
 
 func TestStoreProblemCRUD(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	p := mustMC(t, "q1")
 	if err := s.AddProblem(p); err != nil {
 		t.Fatalf("AddProblem: %v", err)
@@ -69,7 +69,7 @@ func TestStoreProblemCRUD(t *testing.T) {
 }
 
 func TestStoreRejectsInvalidProblem(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	bad := &item.Problem{ID: "x", Style: item.MultipleChoice, Question: "?"}
 	if err := s.AddProblem(bad); err == nil {
 		t.Error("invalid problem should be rejected")
@@ -77,7 +77,7 @@ func TestStoreRejectsInvalidProblem(t *testing.T) {
 }
 
 func TestStoreProblemIDsSorted(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	for _, id := range []string{"qc", "qa", "qb"} {
 		if err := s.AddProblem(mustMC(t, id)); err != nil {
 			t.Fatal(err)
@@ -93,7 +93,7 @@ func TestStoreProblemIDsSorted(t *testing.T) {
 }
 
 func TestStoreProblemsBatch(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	if err := s.AddProblem(mustMC(t, "q1")); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestStoreProblemsBatch(t *testing.T) {
 }
 
 func TestStoreExamCRUD(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	if err := s.AddProblem(mustMC(t, "q1")); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStoreExamCRUD(t *testing.T) {
 }
 
 func TestStoreExamValidatesReferences(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	exam := &ExamRecord{ID: "e1", ProblemIDs: []string{"ghost"}}
 	if err := s.AddExam(exam); !errors.Is(err, ErrProblemNotFound) {
 		t.Errorf("dangling reference = %v, want ErrProblemNotFound", err)
@@ -151,7 +151,7 @@ func TestStoreExamValidatesReferences(t *testing.T) {
 }
 
 func TestStoreSaveLoadRoundTrip(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	p := mustMC(t, "q1")
 	p.Subject = "algebra"
 	p.Level = cognition.Application
@@ -207,7 +207,7 @@ func TestLoadErrors(t *testing.T) {
 }
 
 func TestSaveToUnwritablePath(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	if err := s.AddProblem(mustMC(t, "q1")); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestSaveToUnwritablePath(t *testing.T) {
 }
 
 func TestStoreConcurrentAccess(t *testing.T) {
-	s := New()
+	s := NewSharded(0)
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)

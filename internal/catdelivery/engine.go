@@ -7,8 +7,8 @@
 // per-item exposure caps, until a stopping rule fires (SE target reached,
 // max items administered, or pool exhausted).
 //
-// Architecture mirrors internal/delivery: sessions live in a sharded
-// registry with per-session locks, captures flow into a delivery.Monitor,
+// Architecture mirrors internal/delivery: sessions live in a shard.Map
+// with per-session locks, captures flow into a delivery.Monitor,
 // and unrelated learners never contend. Unlike fixed-form sessions, every
 // adaptive session is persisted to the bank.Storage after each mutation
 // (bank.AdaptiveSessionRecord), so with a journaled bank a mid-test crash
@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,6 +38,7 @@ import (
 	"mineassess/internal/delivery"
 	"mineassess/internal/events"
 	"mineassess/internal/item"
+	"mineassess/internal/shard"
 	"mineassess/internal/simulate"
 	"mineassess/internal/trace"
 )
@@ -213,73 +213,6 @@ const (
 	StopByCaller      = "finished-by-caller"
 )
 
-// registry is the sharded session index — the same pattern as
-// internal/delivery: shard locks guard only the maps, per-session state is
-// guarded by each session's own mutex.
-const registryShards = 32
-
-type registry struct {
-	shards []regShard
-}
-
-type regShard struct {
-	mu       sync.RWMutex
-	sessions map[string]*Session
-}
-
-func newRegistry() *registry {
-	r := &registry{shards: make([]regShard, registryShards)}
-	for i := range r.shards {
-		r.shards[i].sessions = make(map[string]*Session)
-	}
-	return r
-}
-
-func fnvShard(id string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
-}
-
-func (r *registry) get(id string) (*Session, error) {
-	sh := &r.shards[fnvShard(id, len(r.shards))]
-	sh.mu.RLock()
-	s, ok := sh.sessions[id]
-	sh.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrSessionNotFound, id)
-	}
-	return s, nil
-}
-
-func (r *registry) put(s *Session) {
-	sh := &r.shards[fnvShard(s.ID, len(r.shards))]
-	sh.mu.Lock()
-	sh.sessions[s.ID] = s
-	sh.mu.Unlock()
-}
-
-func (r *registry) delete(id string) {
-	sh := &r.shards[fnvShard(id, len(r.shards))]
-	sh.mu.Lock()
-	delete(sh.sessions, id)
-	sh.mu.Unlock()
-}
-
-func (r *registry) count() int {
-	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		n += len(sh.sessions)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // examExposure tracks per-exam administration counts for exposure control.
 type examExposure struct {
 	starts int
@@ -291,7 +224,7 @@ type examExposure struct {
 // NewEngine), so a restarted server carries live CAT sittings forward.
 type Engine struct {
 	store    bank.Storage
-	registry *registry
+	sessions *shard.Map[*Session]
 	monitor  *delivery.Monitor
 	now      func() time.Time
 	nextID   atomic.Int64
@@ -330,7 +263,7 @@ func NewEngine(store bank.Storage, now func() time.Time, monitorCapacity int) (*
 	}
 	e := &Engine{
 		store:    store,
-		registry: newRegistry(),
+		sessions: shard.NewMap[*Session](delivery.DefaultSessionShards),
 		monitor:  delivery.NewMonitor(monitorCapacity),
 		now:      now,
 		log:      NewResponseLog(),
@@ -375,12 +308,12 @@ func (e *Engine) Monitor() *delivery.Monitor { return e.monitor }
 func (e *Engine) ResponseLog() *ResponseLog { return e.log }
 
 // SessionCount returns the number of registered sessions (any state).
-func (e *Engine) SessionCount() int { return e.registry.count() }
+func (e *Engine) SessionCount() int { return e.sessions.Len() }
 
 // HasSession reports whether a session ID is registered.
 func (e *Engine) HasSession(id string) bool {
-	_, err := e.registry.get(id)
-	return err == nil
+	_, ok := e.sessions.Get(id)
+	return ok
 }
 
 // autoGradable reports whether a style can be scored without an instructor
@@ -491,7 +424,7 @@ func (e *Engine) StartCtx(ctx context.Context, examID, studentID string, cfg Con
 	if err := e.persistSession(ctx, rec); err != nil {
 		return nil, nil, err
 	}
-	e.registry.put(s)
+	e.sessions.Put(s.ID, s)
 	e.monitor.Capture(s.ID, e.now())
 	e.bus.PublishCtx(trace.Detach(ctx), events.Event{
 		Type: events.AdaptiveStarted, ExamID: examID, SessionID: s.ID,
@@ -707,9 +640,9 @@ func (s *Session) itemView(p *item.Problem) *ItemView {
 
 // lock looks up the session and returns it locked. The caller must Unlock.
 func (e *Engine) lock(id string) (*Session, error) {
-	s, err := e.registry.get(id)
-	if err != nil {
-		return nil, err
+	s, ok := e.sessions.Get(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrSessionNotFound, id)
 	}
 	s.mu.Lock()
 	return s, nil
@@ -963,7 +896,7 @@ func outcomeOf(rec *bank.AdaptiveSessionRecord) *Outcome {
 	}
 }
 
-// restore rehydrates one persisted session into the registry. Finished
+// restore rehydrates one persisted session into the session index. Finished
 // sessions need no pool — they register for status/outcome queries with
 // their persisted estimates and re-drain into the response log. Active
 // sessions reload pool and problems from the bank and re-derive theta/SE
@@ -1041,7 +974,7 @@ func (e *Engine) restore(rec *bank.AdaptiveSessionRecord) error {
 			}
 		}
 	}
-	e.registry.put(s)
+	e.sessions.Put(s.ID, s)
 	return nil
 }
 
@@ -1058,7 +991,7 @@ func numericSuffix(id string) (int64, bool) {
 	return n, true
 }
 
-// PurgeFinished removes every finished session from the registry and the
+// PurgeFinished removes every finished session from the session index and the
 // storage backend — the retention pass that keeps a long-lived server's
 // memory, WAL, and boot time from scaling with lifetime session count.
 // Purged sessions' calibration data stays in the response log for the
@@ -1073,8 +1006,8 @@ func (e *Engine) PurgeFinished() (int, error) {
 	purged := 0
 	var errs []error
 	for _, id := range e.SessionIDs() {
-		s, err := e.registry.get(id)
-		if err != nil {
+		s, ok := e.sessions.Get(id)
+		if !ok {
 			continue // already purged concurrently
 		}
 		s.mu.Lock()
@@ -1085,7 +1018,7 @@ func (e *Engine) PurgeFinished() (int, error) {
 				s.mu.Unlock()
 				continue
 			}
-			e.registry.delete(id)
+			e.sessions.Delete(id)
 			e.monitor.Forget(id)
 			purged++
 		}
@@ -1096,16 +1029,4 @@ func (e *Engine) PurgeFinished() (int, error) {
 
 // SessionIDs returns every registered session ID, sorted (admin views and
 // tests).
-func (e *Engine) SessionIDs() []string {
-	var ids []string
-	for i := range e.registry.shards {
-		sh := &e.registry.shards[i]
-		sh.mu.RLock()
-		for id := range sh.sessions {
-			ids = append(ids, id)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(ids)
-	return ids
-}
+func (e *Engine) SessionIDs() []string { return e.sessions.Keys() }

@@ -11,9 +11,9 @@ import (
 )
 
 // essayExamFixture: one essay + one MC problem.
-func essayExamFixture(t *testing.T) (*bank.Store, string) {
+func essayExamFixture(t *testing.T) (*bank.Sharded, string) {
 	t.Helper()
-	s := bank.New()
+	s := bank.NewSharded(0)
 	essay := &item.Problem{ID: "essay1", Style: item.Essay,
 		Question: "Discuss assessment metadata.", Level: cognition.Evaluation}
 	mc, err := item.NewMultipleChoice("mc1", "?", []string{"a", "b"}, 0)

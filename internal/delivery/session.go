@@ -5,8 +5,8 @@
 // matrices. The HTTP front end (versioned /v1 API, SCORM RTE bridge,
 // authoring CRUD) lives in internal/httpapi.
 //
-// Concurrency model: the engine keeps sessions in a sharded registry
-// (registry.go); each Session carries its own mutex. A per-learner operation
+// Concurrency model: the engine keeps sessions in a shard.Map keyed by
+// session ID; each Session carries its own mutex. A per-learner operation
 // — Answer, Status, Pause, Resume, Finish, AssignGrade — takes one shard
 // read-lock for the lookup and then only that session's lock, so unrelated
 // learners never contend and a slow grade computation stalls nobody else.
@@ -28,6 +28,7 @@ import (
 	"mineassess/internal/events"
 	"mineassess/internal/item"
 	"mineassess/internal/scorm"
+	"mineassess/internal/shard"
 	"mineassess/internal/trace"
 )
 
@@ -154,7 +155,7 @@ type Status struct {
 // synchronize only on the session itself (see the package comment).
 type Engine struct {
 	store    bank.Storage
-	registry *registry
+	sessions *shard.Map[*Session]
 	now      func() time.Time
 	monitor  *Monitor
 	nextID   atomic.Int64
@@ -171,6 +172,10 @@ type Engine struct {
 // synchronized against in-flight operations).
 func (e *Engine) SetEventBus(b *events.Bus) { e.bus = b }
 
+// DefaultSessionShards is the session index's shard count in NewEngine:
+// enough shards that unrelated learners rarely hash together.
+const DefaultSessionShards = 32
+
 // NewEngine builds an engine over any bank.Storage with the default session
 // shard count. now may be nil for wall-clock time; monitorCapacity bounds
 // the per-session snapshot ring (0 disables monitoring).
@@ -186,9 +191,12 @@ func NewShardedEngine(store bank.Storage, now func() time.Time, monitorCapacity,
 	if now == nil {
 		now = time.Now
 	}
+	if shards <= 0 {
+		shards = DefaultSessionShards
+	}
 	return &Engine{
 		store:    store,
-		registry: newRegistry(shards),
+		sessions: shard.NewMap[*Session](shards),
 		now:      now,
 		monitor:  NewMonitor(monitorCapacity),
 	}
@@ -202,15 +210,24 @@ func (e *Engine) Monitor() *Monitor {
 // SessionCount returns the number of sessions the engine has registered
 // (any state).
 func (e *Engine) SessionCount() int {
-	return e.registry.count()
+	return e.sessions.Len()
 }
 
 // HasSession reports whether a session ID is registered, in any state. The
 // HTTP layer uses it to distinguish "no such session" (404) from "a session
 // with no data yet" before reading monitor rings.
 func (e *Engine) HasSession(sessionID string) bool {
-	_, err := e.registry.get(sessionID)
-	return err == nil
+	_, ok := e.sessions.Get(sessionID)
+	return ok
+}
+
+// session returns the registered session without locking it.
+func (e *Engine) session(id string) (*Session, error) {
+	s, ok := e.sessions.Get(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrSessionNotFound, id)
+	}
+	return s, nil
 }
 
 // Start opens a session for the student on the exam, computing the
@@ -276,7 +293,7 @@ func (e *Engine) StartCtx(ctx context.Context, examID, studentID string, seed in
 	if got := s.api.LMSInitialize(""); got != "true" {
 		return nil, fmt.Errorf("delivery: RTE initialize failed (%s)", s.api.LMSGetLastError())
 	}
-	e.registry.put(s)
+	e.sessions.Put(s.ID, s)
 	e.monitor.Capture(s.ID, now)
 	// Publishes detach from the request context: the event outlives the
 	// request (cancelation must not reach subscribers) but keeps the trace
@@ -290,7 +307,7 @@ func (e *Engine) StartCtx(ctx context.Context, examID, studentID string, seed in
 
 // lock looks up the session and returns it locked. The caller must Unlock.
 func (e *Engine) lock(sessionID string) (*Session, error) {
-	s, err := e.registry.get(sessionID)
+	s, err := e.session(sessionID)
 	if err != nil {
 		return nil, err
 	}
@@ -541,7 +558,7 @@ func (e *Engine) Status(sessionID string) (Status, error) {
 // (Answer/Pause/Finish) that write the same CMI data model. This is the only
 // safe way to touch a live session's API concurrently.
 func (e *Engine) RTEExec(sessionID string, fn func(api *scorm.API)) error {
-	s, err := e.registry.get(sessionID)
+	s, err := e.session(sessionID)
 	if err != nil {
 		return err
 	}
@@ -557,7 +574,7 @@ func (e *Engine) RTEExec(sessionID string, fn func(api *scorm.API)) error {
 // for this session — single-threaded harnesses and tests only. Concurrent
 // callers (the HTTP bridge) use RTEExec.
 func (e *Engine) RTE(sessionID string) (*scorm.API, error) {
-	s, err := e.registry.get(sessionID)
+	s, err := e.session(sessionID)
 	if err != nil {
 		return nil, err
 	}
@@ -583,7 +600,7 @@ func (e *Engine) CollectResults(examID string) (*analysis.ExamResult, error) {
 		Problems: problems,
 		TestTime: time.Duration(rec.TestTimeSeconds) * time.Second,
 	}
-	for _, s := range e.registry.all() {
+	for _, s := range e.sessions.Values() {
 		if s.ExamID != examID {
 			continue
 		}

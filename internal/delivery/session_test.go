@@ -25,9 +25,9 @@ func (c *fakeClock) Now() time.Time          { return c.t }
 func (c *fakeClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // examFixture stores 4 MC problems and an exam with a 10-minute limit.
-func examFixture(t *testing.T, resumable bool) (*bank.Store, string) {
+func examFixture(t *testing.T, resumable bool) (*bank.Sharded, string) {
 	t.Helper()
-	s := bank.New()
+	s := bank.NewSharded(0)
 	var ids []string
 	for i := 0; i < 4; i++ {
 		p, err := item.NewMultipleChoice(fmt.Sprintf("q%d", i+1), "?",

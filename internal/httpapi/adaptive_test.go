@@ -20,9 +20,9 @@ import (
 
 // calibratedFixture stores n auto-gradable MC problems (answer "A") with
 // IRT parameters as exam "cat1".
-func calibratedFixture(t *testing.T, n int) *bank.Store {
+func calibratedFixture(t *testing.T, n int) *bank.Sharded {
 	t.Helper()
-	s := bank.New()
+	s := bank.NewSharded(0)
 	params := make(map[string]simulate.IRTParams, n)
 	var ids []string
 	for i := 0; i < n; i++ {

@@ -24,7 +24,7 @@ func mustProblem(t *testing.T, id string, concept string, level cognition.Level)
 }
 
 func TestProblemCRUD(t *testing.T) {
-	srv, _ := serverOver(t, bank.New())
+	srv, _ := serverOver(t, bank.NewSharded(0))
 	base := srv.URL
 
 	// Create.
@@ -88,7 +88,7 @@ func TestProblemCRUD(t *testing.T) {
 }
 
 func TestExamCRUD(t *testing.T) {
-	store := bank.New()
+	store := bank.NewSharded(0)
 	srv, _ := serverOver(t, store)
 	base := srv.URL
 	for i, id := range []string{"p1", "p2"} {
@@ -136,7 +136,7 @@ func TestExamCRUD(t *testing.T) {
 }
 
 func TestAssembleExam(t *testing.T) {
-	store := bank.New()
+	store := bank.NewSharded(0)
 	srv, _ := serverOver(t, store)
 	base := srv.URL
 	for _, id := range []string{"k1", "k2", "k3"} {

@@ -34,9 +34,9 @@ func (c *fakeClock) Now() time.Time          { return c.t }
 func (c *fakeClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // examFixture stores 4 MC problems and an exam with a 10-minute limit.
-func examFixture(t *testing.T, resumable bool) (*bank.Store, string) {
+func examFixture(t *testing.T, resumable bool) (*bank.Sharded, string) {
 	t.Helper()
-	s := bank.New()
+	s := bank.NewSharded(0)
 	var ids []string
 	for i := 0; i < 4; i++ {
 		p, err := item.NewMultipleChoice(fmt.Sprintf("q%d", i+1), "?",
@@ -61,9 +61,9 @@ func examFixture(t *testing.T, resumable bool) (*bank.Store, string) {
 }
 
 // essayExamFixture: one essay + one MC problem, no time limit.
-func essayExamFixture(t *testing.T) (*bank.Store, string) {
+func essayExamFixture(t *testing.T) (*bank.Sharded, string) {
 	t.Helper()
-	s := bank.New()
+	s := bank.NewSharded(0)
 	essay := &item.Problem{ID: "essay1", Style: item.Essay,
 		Question: "Discuss assessment metadata.", Level: cognition.Evaluation}
 	mc, err := item.NewMultipleChoice("mc1", "?", []string{"a", "b"}, 0)

@@ -1,6 +1,6 @@
 // Package lockio defines the lockio analyzer: no I/O, fsync, marshal /
 // codec encode, or blocking channel operation may run inside a critical
-// section of the bank, delivery or catdelivery packages.
+// section of the bank, shard, delivery or catdelivery packages.
 //
 // This is the group-commit and sharded-registry invariant from PR 1/PR 4:
 // the ordering lock (bank.Journal.mu), the registry shard locks and the
@@ -21,23 +21,24 @@ import (
 )
 
 // Analyzer flags I/O, marshaling and blocking channel operations inside
-// bank/delivery/catdelivery critical sections.
+// bank/shard/delivery/catdelivery critical sections.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockio",
-	Doc: `forbid I/O, marshal and blocking channel ops under bank/delivery/catdelivery locks
+	Doc: `forbid I/O, marshal and blocking channel ops under bank/shard/delivery/catdelivery locks
 
 The storage and session engines serialize only memory-speed work under
 their mutexes; marshal, file writes, fsync and blocking channel
 operations must happen outside (non-blocking select-with-default sends
-are allowed). Packages outside bank, delivery and catdelivery are not in
-scope — the events durable log, for example, legitimately owns its file
-under its own lock on a dedicated writer goroutine.`,
+are allowed). Packages outside bank, shard, delivery and catdelivery are
+not in scope — the events durable log, for example, legitimately owns its
+file under its own lock on a dedicated writer goroutine.`,
 	Run: run,
 }
 
 // scoped reports whether the analyzer polices pkg at all.
 func scoped(pkg *types.Package) bool {
 	return analysis.PkgPathTail(pkg, "bank") ||
+		analysis.PkgPathTail(pkg, "shard") ||
 		analysis.PkgPathTail(pkg, "delivery") ||
 		analysis.PkgPathTail(pkg, "catdelivery")
 }

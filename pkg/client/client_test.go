@@ -14,10 +14,10 @@ import (
 	"mineassess/internal/item"
 )
 
-// newLMS spins up a full /v1 server over an empty reference store.
-func newLMS(t *testing.T) (*Client, *bank.Store) {
+// newLMS spins up a full /v1 server over an empty in-memory store.
+func newLMS(t *testing.T) (*Client, *bank.Sharded) {
 	t.Helper()
-	store := bank.New()
+	store := bank.NewSharded(0)
 	engine := delivery.NewEngine(store, nil, 4)
 	srv := httptest.NewServer(httpapi.NewServer(engine, store, httpapi.Options{}))
 	t.Cleanup(srv.Close)
