@@ -13,7 +13,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -170,50 +169,30 @@ func emitterConfigs() []struct {
 	}
 }
 
-// measureEventsSuite is the -baseline entry for the events section.
-func measureEventsSuite() ([]EventsResult, error) {
+// runE22 measures fan-out and emitter overhead and prints the comparison.
+func runE22(int64) (any, error) {
 	var out []EventsResult
-	for _, subs := range []int{1, 8, 64} {
-		out = append(out, measureFanOut(subs, 50000))
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
-	for _, cfg := range emitterConfigs() {
-		res, err := measureEmitterOverhead(cfg.name, workers, cfg.attach)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// runE22 prints the fan-out and emitter-overhead comparison.
-func runE22(int64) error {
 	fmt.Println("event fan-out, 1 emitter x 50k events:")
 	for _, subs := range []int{1, 8, 64} {
 		res := measureFanOut(subs, 50000)
 		fmt.Printf("  %-28s %10.0f deliveries/s (%d/%d delivered)\n",
 			res.Name, res.PerSec, res.Deliveries, res.Events*res.Subscribers)
+		out = append(out, res)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
+	workers := engineWorkers()
 	fmt.Printf("emitter overhead, %d workers x 20 sessions x 10 questions:\n", workers)
 	var base float64
 	for _, cfg := range emitterConfigs() {
 		res, err := measureEmitterOverhead(cfg.name, workers, cfg.attach)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if base == 0 {
 			base = res.PerSec
 		}
 		fmt.Printf("  %-28s %10.0f ops/s (%.2fx baseline)\n", res.Name, res.PerSec, res.PerSec/base)
+		out = append(out, res)
 	}
 	fmt.Println("expected shape: fan-out scales with subscribers; attaching the bus costs the engine within noise of baseline")
-	return nil
+	return out, nil
 }

@@ -1,6 +1,6 @@
 package main
 
-// Hot-path codec and allocation benchmarks (experiment E23, the -hotpaths
+// Hot-path codec and allocation benchmarks (experiment E23, the "hotpaths"
 // baseline section, and the -check-allocs CI guard):
 //
 //  1. Journal commit throughput, JSON vs binary WAL codec, under the
@@ -14,10 +14,9 @@ package main
 //     CAT next-item selection, exact 3PL information vs the precomputed
 //     grid at pool sizes 100/1k/10k.
 //
-// -hotpaths merges these numbers into BENCH_BASELINE.json as a "hotpaths"
-// section without regenerating the other sections; -check-allocs re-runs
-// the cheap allocation probes and fails when a path regressed more than 20%
-// over the recorded baseline.
+// -check-allocs re-runs the allocation probes of item 2 (measureAllocProbes,
+// the same call and sizes E23 records) and fails when a path regressed more
+// than 20% over the recorded baseline.
 
 import (
 	"encoding/json"
@@ -259,29 +258,41 @@ func measureNextItem(poolSize int) (exact, grid HotpathResult, err error) {
 	return exact, grid, nil
 }
 
+// measureAllocProbes runs the journal-commit and fan-out allocation probes
+// that E23 records and -check-allocs compares against.
+func measureAllocProbes() ([]HotpathResult, error) {
+	var out []HotpathResult
+	for _, codec := range []bank.Codec{bank.CodecJSON, bank.CodecBinary} {
+		res, err := measureJournalCommitAllocs(codec)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
+	}
+	for _, subs := range []int{1, 16, 64} {
+		out = append(out, measureFanOutAllocs(subs, 50000, nil))
+	}
+	return out, nil
+}
+
 // measureHotpathsSuite runs the full E23 measurement set.
 func measureHotpathsSuite() (*HotpathsSection, error) {
 	sec := &HotpathsSection{}
 	for _, workers := range []int{journalBenchWorkers, 128} {
 		for _, codec := range []bank.Codec{bank.CodecJSON, bank.CodecBinary} {
 			name := fmt.Sprintf("group-commit/group/%s/%dw", codec, workers)
-			res, err := measureJournalWrites(name, openCodecJournal(codec, bank.SyncGroup), workers, 48)
+			res, err := measureJournalWrites(name, openCodecJournal(codec, bank.SyncGroup), workers, journalBenchPerWorker)
 			if err != nil {
 				return nil, err
 			}
 			sec.Journal = append(sec.Journal, res)
 		}
 	}
-	for _, codec := range []bank.Codec{bank.CodecJSON, bank.CodecBinary} {
-		res, err := measureJournalCommitAllocs(codec)
-		if err != nil {
-			return nil, err
-		}
-		sec.Allocs = append(sec.Allocs, res)
+	allocs, err := measureAllocProbes()
+	if err != nil {
+		return nil, err
 	}
-	for _, subs := range []int{1, 16, 64} {
-		sec.Allocs = append(sec.Allocs, measureFanOutAllocs(subs, 50000, nil))
-	}
+	sec.Allocs = allocs
 	for _, size := range []int{100, 1000, 10000} {
 		exact, grid, err := measureNextItem(size)
 		if err != nil {
@@ -293,10 +304,10 @@ func measureHotpathsSuite() (*HotpathsSection, error) {
 }
 
 // runE23 prints the hot-path comparison.
-func runE23(int64) error {
+func runE23(int64) (any, error) {
 	sec, err := measureHotpathsSuite()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Println("journal write throughput, group-commit fsync policy, JSON vs binary codec:")
 	byName := map[string]JournalResult{}
@@ -325,40 +336,7 @@ func runE23(int64) error {
 			exact.Name, exact.NsPerOp, grid.Name, grid.NsPerOp, exact.NsPerOp/math.Max(grid.NsPerOp, 1))
 	}
 	fmt.Println("expected shape: binary codec beats JSON once fsync amortizes (128 writers); fan-out stays under 1 alloc per delivery at 64 subscribers; the grid is >=5x exact at the 10k pool")
-	return nil
-}
-
-// writeHotpaths measures the suite and merges it into the baseline file as
-// the "hotpaths" section, leaving every other section untouched (unlike
-// -baseline, which regenerates the whole document).
-func writeHotpaths(path string) error {
-	sec, err := measureHotpathsSuite()
-	if err != nil {
-		return err
-	}
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("existing baseline %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	secRaw, err := json.Marshal(sec)
-	if err != nil {
-		return err
-	}
-	doc["hotpaths"] = secRaw
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("merged hotpaths section into %s\n", path)
-	return nil
+	return sec, nil
 }
 
 // allocSlack is the -check-allocs tolerance: a path fails when its
@@ -370,37 +348,40 @@ func allocAllowance(base float64) float64 {
 	return base*1.2 + 0.5
 }
 
-// checkAllocs re-runs the journal-commit and fan-out allocation probes and
-// compares them against the recorded hotpaths baseline, returning an error
-// (CI failure) when any path regressed beyond the allowance.
-func checkAllocs(path string) error {
+// readAllocBaseline returns the recorded allocs/op per probe name from the
+// hotpaths section of the baseline file at path.
+func readAllocBaseline(path string) (map[string]float64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var doc struct {
 		Hotpaths *HotpathsSection `json:"hotpaths"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
+		return nil, fmt.Errorf("baseline %s: %w", path, err)
 	}
 	if doc.Hotpaths == nil || len(doc.Hotpaths.Allocs) == 0 {
-		return fmt.Errorf("baseline %s has no hotpaths section; record one with -hotpaths first", path)
+		return nil, fmt.Errorf("baseline %s has no hotpaths section; record one with -record first", path)
 	}
 	base := make(map[string]float64, len(doc.Hotpaths.Allocs))
 	for _, r := range doc.Hotpaths.Allocs {
 		base[r.Name] = r.AllocsPerOp
 	}
-	var current []HotpathResult
-	for _, codec := range []bank.Codec{bank.CodecJSON, bank.CodecBinary} {
-		res, err := measureJournalCommitAllocs(codec)
-		if err != nil {
-			return err
-		}
-		current = append(current, res)
+	return base, nil
+}
+
+// checkAllocs re-runs the journal-commit and fan-out allocation probes and
+// compares them against the recorded hotpaths baseline, returning an error
+// (CI failure) when any path regressed beyond the allowance.
+func checkAllocs(path string) error {
+	base, err := readAllocBaseline(path)
+	if err != nil {
+		return err
 	}
-	for _, subs := range []int{1, 16, 64} {
-		current = append(current, measureFanOutAllocs(subs, 20000, nil))
+	current, err := measureAllocProbes()
+	if err != nil {
+		return err
 	}
 	failed := 0
 	for _, r := range current {

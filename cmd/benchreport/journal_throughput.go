@@ -1,7 +1,7 @@
 package main
 
-// Journaled write-path measurement (experiment E21 and the journal section
-// of the -baseline JSON): the group-commit WAL against the design it
+// Journaled write-path measurement (experiment E21, the "journal" baseline
+// section): the group-commit WAL against the design it
 // replaced. The baseline here is a faithful re-implementation of the old
 // single-writer-lock journal — backend apply, JSON marshal, WAL write and
 // (policy permitting) fsync all inside one critical section — so the
@@ -30,6 +30,10 @@ import (
 // at: group commit must beat the single-lock baseline >= 3x here with the
 // default "group" policy.
 const journalBenchWorkers = 32
+
+// journalBenchPerWorker is how many writes each writer journals in the
+// E21, E23 and E25 journal legs.
+const journalBenchPerWorker = 48
 
 // JournalResult is one measured journal write configuration, serialized
 // into the baseline file.
@@ -295,10 +299,10 @@ func measureCATPersistLatency(policy bank.SyncPolicy, workers, sessionsPerWorker
 
 // measureJournalSuite runs every E21 configuration at the acceptance
 // concurrency and returns the results in a stable order.
-func measureJournalSuite(perWorker int) ([]JournalResult, error) {
+func measureJournalSuite() ([]JournalResult, error) {
 	var results []JournalResult
 	for _, cfg := range journalConfigs() {
-		res, err := measureJournalWrites(cfg.name, cfg.open, journalBenchWorkers, perWorker)
+		res, err := measureJournalWrites(cfg.name, cfg.open, journalBenchWorkers, journalBenchPerWorker)
 		if err != nil {
 			return nil, err
 		}
@@ -312,12 +316,12 @@ func measureJournalSuite(perWorker int) ([]JournalResult, error) {
 }
 
 // runE21 prints the journaled write comparison and the headline ratio.
-func runE21(int64) error {
-	fmt.Printf("journaled writes, %d concurrent writers (single-lock baseline vs group-commit pipeline):\n",
-		journalBenchWorkers)
-	results, err := measureJournalSuite(24)
+func runE21(int64) (any, error) {
+	fmt.Printf("journaled writes, %d concurrent writers x %d writes (single-lock baseline vs group-commit pipeline):\n",
+		journalBenchWorkers, journalBenchPerWorker)
+	results, err := measureJournalSuite()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	byName := make(map[string]JournalResult, len(results))
 	for _, res := range results {
@@ -331,5 +335,5 @@ func runE21(int64) error {
 			group.OpsPerSec/serial.OpsPerSec)
 	}
 	fmt.Println("expected shape: group-commit >= 3x the single-lock baseline under the durable policies, with p99 commit latency bounded by one batch fsync rather than a queue of serial fsyncs")
-	return nil
+	return results, nil
 }

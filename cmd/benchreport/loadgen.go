@@ -7,73 +7,52 @@ import (
 	"time"
 
 	"mineassess/internal/loadgen"
+	"mineassess/internal/trace"
 )
 
 // runE24 drives the composed /v1 stack (journal + events enabled) with the
-// open-loop load harness: a seconds-scale ramp+soak of mixed virtual
-// learners against a hermetic in-process server. It is the smoke-scale
-// version of cmd/loadgen — the full capacity ladder lives there.
-func runE24(seed int64) error {
-	res, _, err := measureLoadgen(seed, e24Mix(), 150, 2*time.Second, 4*time.Second, false)
+// open-loop load harness: a ramp+soak of mixed virtual learners against a
+// hermetic in-process server, then the capacity ladder on the same server.
+func runE24(seed int64) (any, error) {
+	sec, _, err := measureLoadgen(loadgen.InProcessConfig{}, loadgen.Config{
+		Mix: e24Mix(), RatePerSec: 200, Ramp: 3 * time.Second, Soak: 10 * time.Second, Seed: seed,
+	}, &loadgen.CapacityConfig{
+		StartRate: 50, Factor: 2, StepDuration: 3 * time.Second, MaxSteps: 6,
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	loadgen.WriteReport(os.Stdout, res)
-	fmt.Println("expected shape: offered rate ~= planned rate (open-loop), zero errors, p99 well under the SLO at smoke scale")
-	return nil
+	loadgen.WriteReport(os.Stdout, sec.Run)
+	loadgen.WriteCapacityReport(os.Stdout, sec.Capacity)
+	fmt.Println("expected shape: offered rate ~= planned rate (open-loop), zero errors, p99 under the SLO on the run; the ladder reports the knee")
+	return sec, nil
 }
 
 func e24Mix() loadgen.Mix { return loadgen.Mix{Fixed: 6, CAT: 3, Watch: 1} }
 
-// measureLoadgen boots the hermetic server, runs one ramp+soak and — when
-// withCapacity — the capacity ladder, and returns both measurements.
-func measureLoadgen(seed int64, mix loadgen.Mix, rate float64, ramp, soak time.Duration, withCapacity bool) (*loadgen.Result, *loadgen.CapacityResult, error) {
-	ip, err := loadgen.StartInProcess(loadgen.InProcessConfig{})
+// measureLoadgen boots the hermetic server described by target, runs one
+// ramp+soak of run against it and — when ladder is non-nil — the capacity
+// ladder on the same server. It returns the measurements and the target's
+// tracer (nil unless target asked for one).
+func measureLoadgen(target loadgen.InProcessConfig, run loadgen.Config, ladder *loadgen.CapacityConfig) (*loadgen.Section, *trace.Tracer, error) {
+	ip, err := loadgen.StartInProcess(target)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer ip.Close()
-	runner, err := loadgen.NewRunner(loadgen.Config{
-		BaseURL:    ip.URL,
-		Mix:        mix,
-		RatePerSec: rate,
-		Ramp:       ramp,
-		Soak:       soak,
-		Seed:       seed,
-	})
+	run.BaseURL = ip.URL
+	runner, err := loadgen.NewRunner(run)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := runner.Run(context.Background())
-	if err != nil {
+	sec := &loadgen.Section{Mix: run.Mix}
+	if sec.Run, err = runner.Run(context.Background()); err != nil {
 		return nil, nil, err
 	}
-	var cr *loadgen.CapacityResult
-	if withCapacity {
-		cr, err = runner.Capacity(context.Background(), loadgen.CapacityConfig{
-			StartRate: 50, Factor: 2, StepDuration: 3 * time.Second, MaxSteps: 6,
-		})
-		if err != nil {
+	if ladder != nil {
+		if sec.Capacity, err = runner.Capacity(context.Background(), *ladder); err != nil {
 			return nil, nil, err
 		}
 	}
-	return res, cr, nil
-}
-
-// writeLoadgen measures the E24 workload (run + capacity ladder) and merges
-// the loadgen section into the baseline file — the same section-merge flow
-// -hotpaths uses for E23.
-func writeLoadgen(path string) error {
-	fmt.Fprintln(os.Stderr, "benchreport: measuring E24 load harness (run + capacity ladder)...")
-	res, cr, err := measureLoadgen(7, e24Mix(), 200, 3*time.Second, 10*time.Second, true)
-	if err != nil {
-		return err
-	}
-	loadgen.WriteReport(os.Stdout, res)
-	loadgen.WriteCapacityReport(os.Stdout, cr)
-	if err := loadgen.MergeBaseline(path, loadgen.NewSection(e24Mix(), res, cr)); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "benchreport: merged loadgen section into %s\n", path)
-	return nil
+	return sec, ip.Tracer, nil
 }

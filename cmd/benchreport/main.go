@@ -1,19 +1,30 @@
 // Command benchreport regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md's per-experiment index E1-E17) and prints
-// paper-reported values next to measured ones. Absolute agreement is
-// expected for the arithmetic artifacts (the paper's matrices are replayed
-// verbatim); simulated artifacts are judged on shape.
+// evaluation and of the system's perf experiments (see DESIGN.md's
+// per-experiment index E1-E26, A1-A2) and prints paper-reported values
+// next to measured ones. Absolute agreement is expected for the arithmetic
+// artifacts (the paper's matrices are replayed verbatim); simulated
+// artifacts are judged on shape.
 //
 // Usage:
 //
 //	benchreport [-experiment E8] [-seed 7]
+//	benchreport -record BENCH_BASELINE.json [-seed 7]
+//	benchreport -check-allocs BENCH_BASELINE.json
+//
+// -record runs every experiment that owns a baseline section once, in table
+// order, printing each table, and writes the whole baseline document. An
+// experiment run alone with -experiment measures exactly what -record
+// records. -check-allocs re-runs the allocation probes against a recorded
+// baseline and fails on a regression.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -39,85 +50,121 @@ func main() {
 type experiment struct {
 	id    string
 	title string
-	run   func(seed int64) error
+	// section is the baseline document key -record stores the value run
+	// returns under; empty for experiments that only print.
+	section string
+	run     func(seed int64) (any, error)
+}
+
+// printOnly adapts an experiment that prints and records nothing.
+func printOnly(f func(seed int64) error) func(int64) (any, error) {
+	return func(seed int64) (any, error) { return nil, f(seed) }
+}
+
+func experiments() []experiment {
+	return []experiment{
+		{"E1", "Table 1: problem attribute table", "", printOnly(runE1)},
+		{"E2", "Example 1 / Rule 1: option allure", "", printOnly(runE2)},
+		{"E3", "Example 2 / Rule 2: option not well defined", "", printOnly(runE3)},
+		{"E4", "Example 3 / Rule 3: low group lacks concept", "", printOnly(runE4)},
+		{"E5", "Example 4 / Rule 4: both groups lack concept", "", printOnly(runE5)},
+		{"E6", "Table 2: rule-to-status matrix", "", printOnly(runE6)},
+		{"E7", "Table 3: signal thresholds", "", printOnly(runE7)},
+		{"E8", "Figure 2 worked question no.2", "", printOnly(runE8)},
+		{"E9", "Figure 2 worked question no.6", "", printOnly(runE9)},
+		{"E10", "Figure 2: whole-test signal board", "", printOnly(runE10)},
+		{"E11", "Figure 4.2.1(1): time vs answered questions", "", printOnly(runE11)},
+		{"E12", "Figure 4.2.1(2): score vs difficulty", "", printOnly(runE12)},
+		{"E13", "Table 4: two-way specification table", "", printOnly(runE13)},
+		{"E14", "4.2.3: concept lost / sum relation / paint", "", printOnly(runE14)},
+		{"E15", "3.4 III: instructional sensitivity index", "", printOnly(runE15)},
+		{"E16", "5.5: SCORM output round trip", "", printOnly(runE16)},
+		{"E17", "6: adaptive vs fixed test (future work)", "", printOnly(runE17)},
+		{"E18", "sharded delivery engine throughput", "results", runE18},
+		{"E19", "HTTP /v1 stack throughput vs direct engine calls", "", printOnly(runE19)},
+		{"E20", "live adaptive (CAT) delivery vs fixed form", "", printOnly(runE20)},
+		{"E21", "group-commit WAL: journaled write throughput and commit latency", "journal", runE21},
+		{"E22", "event bus: fan-out throughput and emitter overhead", "events", runE22},
+		{"E23", "zero-allocation hot paths: WAL codec, pooled fan-out, CAT info grid", "hotpaths", runE23},
+		{"E24", "open-loop load harness: mixed learners over the composed /v1 stack", "loadgen", runE24},
+		{"E25", "observability overhead: journal + fan-out with the metrics registry off vs on", "obs", runE25},
+		{"E26", "tracing overhead: journal + load harness with tracing off vs sampled vs always-on", "trace", runE26},
+		{"A1", "ablation: group fraction 25% vs Kelly 27% vs 33%", "", printOnly(runA1)},
+		{"A2", "ablation: group D vs point-biserial", "", printOnly(runA2)},
+	}
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
 	only := fs.String("experiment", "", "run a single experiment (e.g. E8)")
 	seed := fs.Int64("seed", 7, "seed for simulated experiments")
-	baseline := fs.String("baseline", "", "measure engine throughput and write a JSON baseline to this path")
-	hotpaths := fs.String("hotpaths", "", "measure the E23 hot paths and merge a hotpaths section into this baseline file")
-	loadgenPath := fs.String("loadgen", "", "measure the E24 load harness (run + capacity ladder) and merge a loadgen section into this baseline file")
-	obsPath := fs.String("obs", "", "measure the E25 observability overhead and merge an obs section into this baseline file")
-	tracePath := fs.String("trace", "", "measure the E26 tracing overhead and merge a trace section into this baseline file")
+	recordPath := fs.String("record", "", "run every experiment with a baseline section and write the baseline document to this path")
 	checkPath := fs.String("check-allocs", "", "re-run the allocation probes and fail if any path regressed >20% over this baseline file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *baseline != "" {
-		return writeBaseline(*baseline)
-	}
-	if *hotpaths != "" {
-		return writeHotpaths(*hotpaths)
-	}
-	if *loadgenPath != "" {
-		return writeLoadgen(*loadgenPath)
-	}
-	if *obsPath != "" {
-		return writeObs(*obsPath)
-	}
-	if *tracePath != "" {
-		return writeTrace(*tracePath, *seed)
+	if *recordPath != "" {
+		return record(*recordPath, *seed, experiments())
 	}
 	if *checkPath != "" {
 		return checkAllocs(*checkPath)
 	}
-	experiments := []experiment{
-		{"E1", "Table 1: problem attribute table", runE1},
-		{"E2", "Example 1 / Rule 1: option allure", runE2},
-		{"E3", "Example 2 / Rule 2: option not well defined", runE3},
-		{"E4", "Example 3 / Rule 3: low group lacks concept", runE4},
-		{"E5", "Example 4 / Rule 4: both groups lack concept", runE5},
-		{"E6", "Table 2: rule-to-status matrix", runE6},
-		{"E7", "Table 3: signal thresholds", runE7},
-		{"E8", "Figure 2 worked question no.2", runE8},
-		{"E9", "Figure 2 worked question no.6", runE9},
-		{"E10", "Figure 2: whole-test signal board", runE10},
-		{"E11", "Figure 4.2.1(1): time vs answered questions", runE11},
-		{"E12", "Figure 4.2.1(2): score vs difficulty", runE12},
-		{"E13", "Table 4: two-way specification table", runE13},
-		{"E14", "4.2.3: concept lost / sum relation / paint", runE14},
-		{"E15", "3.4 III: instructional sensitivity index", runE15},
-		{"E16", "5.5: SCORM output round trip", runE16},
-		{"E17", "6: adaptive vs fixed test (future work)", runE17},
-		{"E18", "sharded delivery engine throughput", runE18},
-		{"E19", "HTTP /v1 stack throughput vs direct engine calls", runE19},
-		{"E20", "live adaptive (CAT) delivery vs fixed form", runE20},
-		{"E21", "group-commit WAL: journaled write throughput and commit latency", runE21},
-		{"E22", "event bus: fan-out throughput and emitter overhead", runE22},
-		{"E23", "zero-allocation hot paths: WAL codec, pooled fan-out, CAT info grid", runE23},
-		{"E24", "open-loop load harness: mixed learners over the composed /v1 stack", runE24},
-		{"E25", "observability overhead: journal + fan-out with the metrics registry off vs on", runE25},
-		{"E26", "tracing overhead: journal + load harness with tracing off vs sampled vs always-on", runE26},
-		{"A1", "ablation: group fraction 25% vs Kelly 27% vs 33%", runA1},
-		{"A2", "ablation: group D vs point-biserial", runA2},
-	}
 	ran := 0
-	for _, e := range experiments {
+	for _, e := range experiments() {
 		if *only != "" && !strings.EqualFold(*only, e.id) {
 			continue
 		}
-		fmt.Printf("=== %s — %s ===\n", e.id, e.title)
-		if err := e.run(*seed); err != nil {
-			return fmt.Errorf("%s: %w", e.id, err)
+		if _, err := runExperiment(e, *seed); err != nil {
+			return err
 		}
-		fmt.Println()
 		ran++
 	}
 	if ran == 0 {
 		return fmt.Errorf("unknown experiment %q", *only)
 	}
+	return nil
+}
+
+// runExperiment prints one experiment's banner and table and returns what
+// it measured.
+func runExperiment(e experiment, seed int64) (any, error) {
+	fmt.Printf("=== %s — %s ===\n", e.id, e.title)
+	v, err := e.run(seed)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", e.id, err)
+	}
+	fmt.Println()
+	return v, nil
+}
+
+// record runs every sectioned experiment of table once, in order, and
+// writes the baseline document: the environment stamp plus one key per
+// section. The file is written whole, so no section of an older document
+// survives.
+func record(path string, seed int64, table []experiment) error {
+	doc := map[string]any{
+		"goVersion":  runtime.Version(),
+		"gomaxprocs": runtime.GOMAXPROCS(0),
+		"workers":    engineWorkers(),
+	}
+	for _, e := range table {
+		if e.section == "" {
+			continue
+		}
+		v, err := runExperiment(e, seed)
+		if err != nil {
+			return err
+		}
+		doc[e.section] = v
+	}
+	raw, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote baseline %s\n", path)
 	return nil
 }
 

@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
+	"testing"
+)
 
 // The cheap arithmetic experiments run in microseconds; exercise each one
 // plus the experiment selector.
@@ -53,5 +60,72 @@ func TestRunE20Smoke(t *testing.T) {
 	}
 	if err := run([]string{"-experiment", "E20", "-seed", "3"}); err != nil {
 		t.Errorf("E20: %v", err)
+	}
+}
+
+// TestRecordWritesWholeDocument: -record writes the environment stamp and
+// every section of the table as one document, so nothing an older file held
+// survives and nothing a section writer used to drop goes missing — the
+// allocation guard must find the hotpaths section in what was written.
+func TestRecordWritesWholeDocument(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := os.WriteFile(path, []byte(`{"stale":{"keep":true}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hot := &HotpathsSection{Allocs: []HotpathResult{{Name: "journal-commit/binary", AllocsPerOp: 3}}}
+	want := []string{"goVersion", "gomaxprocs", "workers"}
+	table := []experiment{{"P1", "print only", "", printOnly(func(int64) error { return nil })}}
+	for _, e := range experiments() {
+		if e.section == "" {
+			continue
+		}
+		var v any = []string{e.id}
+		if e.section == "hotpaths" {
+			v = hot
+		}
+		table = append(table, experiment{e.id, e.title, e.section, func(int64) (any, error) { return v, nil }})
+		want = append(want, e.section)
+	}
+	if err := record(path, 3, table); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range doc {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("recorded keys %v, want %v", got, want)
+	}
+	base, err := readAllocBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base["journal-commit/binary"] != 3 {
+		t.Errorf("alloc baseline %v, want journal-commit/binary = 3", base)
+	}
+}
+
+// TestExperimentSections pins the baseline document's section keys, which
+// -check-allocs and earlier recorded files read.
+func TestExperimentSections(t *testing.T) {
+	var got []string
+	for _, e := range experiments() {
+		if e.section != "" {
+			got = append(got, e.section)
+		}
+	}
+	want := []string{"results", "journal", "events", "hotpaths", "loadgen", "obs", "trace"}
+	if !slices.Equal(got, want) {
+		t.Errorf("sections %v, want %v", got, want)
 	}
 }

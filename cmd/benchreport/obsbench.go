@@ -1,6 +1,6 @@
 package main
 
-// Observability overhead (experiment E25 and the -obs baseline section):
+// Observability overhead (experiment E25, the "obs" baseline section):
 // the same journal-commit and event fan-out measurements as E21/E22, run
 // once without and once with a live obs.Registry wired in, so the cost of
 // the metrics instrumentation on the hot paths is a number in the baseline
@@ -11,9 +11,7 @@ package main
 // recorded baseline).
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"mineassess/internal/bank"
@@ -75,7 +73,7 @@ func measureObsSuite() (*ObsSection, error) {
 			return bank.OpenJournalWith(dir, bank.NewSharded(0), opts)
 		}
 		name := fmt.Sprintf("journal/group/%dw/obs-%s", journalBenchWorkers, onOff(instrumented))
-		res, err := measureJournalWrites(name, open, journalBenchWorkers, 48)
+		res, err := measureJournalWrites(name, open, journalBenchWorkers, journalBenchPerWorker)
 		if err != nil {
 			return nil, err
 		}
@@ -95,10 +93,10 @@ func measureObsSuite() (*ObsSection, error) {
 }
 
 // runE25 prints the instrumentation overhead comparison.
-func runE25(int64) error {
+func runE25(int64) (any, error) {
 	sec, err := measureObsSuite()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Println("journal write throughput, group-commit, metrics registry off vs on:")
 	for _, r := range sec.Journal {
@@ -119,37 +117,5 @@ func runE25(int64) error {
 		fmt.Printf("  %-32s %8.0f ns/op %8.2f allocs/op\n", r.Name, r.NsPerOp, r.AllocsPerOp)
 	}
 	fmt.Println("expected shape: instrumented throughput within ~5% of uninstrumented on both paths; Observe and Add allocate nothing")
-	return nil
-}
-
-// writeObs measures the suite and merges it into the baseline file as the
-// "obs" section, leaving every other section untouched.
-func writeObs(path string) error {
-	sec, err := measureObsSuite()
-	if err != nil {
-		return err
-	}
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("existing baseline %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	secRaw, err := json.Marshal(sec)
-	if err != nil {
-		return err
-	}
-	doc["obs"] = secRaw
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("merged obs section into %s\n", path)
-	return nil
+	return sec, nil
 }

@@ -1,17 +1,15 @@
 package main
 
-// Delivery-engine throughput measurement (experiment E18 and the -baseline
-// JSON): drives concurrent learner sessions through the engine over both
-// the single-shard configuration (a conservative contention baseline — one
-// shard lock serializes lookups, though per-session locks still apply, so
-// the old single exclusive engine mutex was strictly worse) and the sharded
-// session registry, so the scaling win of per-session locks is tracked PR
-// over PR in BENCH_BASELINE.json.
+// Delivery-engine throughput measurement (experiment E18, the "results"
+// baseline section): drives concurrent learner sessions through the engine
+// over both the single-shard configuration (a conservative contention
+// baseline — one shard lock serializes lookups, though per-session locks
+// still apply, so the old single exclusive engine mutex was strictly worse)
+// and the sharded session registry, so the scaling win of per-session locks
+// is tracked PR over PR in BENCH_BASELINE.json.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -128,80 +126,27 @@ func measureThroughput(cfg engineConfig, workers, sessionsPerWorker, questions i
 	}, nil
 }
 
-// runE18 prints the throughput comparison.
-func runE18(int64) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	fmt.Printf("concurrent exam delivery, %d workers x 20 sessions x 10 questions:\n", workers)
-	for _, cfg := range throughputConfigs() {
-		res, err := measureThroughput(cfg, workers, 20, 10)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %-34s %9.0f ops/s (%7.0f ns/op)\n", res.Name, res.OpsPerSec, res.NsPerOp)
-	}
-	fmt.Println("expected shape: the sharded engine meets or beats the 1-shard baseline, and scales with GOMAXPROCS")
-	return nil
+// engineWorkers is the engine-workload concurrency of E18 and E22: at
+// least 4 workers so the lock structure is exercised even on small
+// machines. It is recorded as the baseline's top-level "workers".
+func engineWorkers() int {
+	return max(runtime.GOMAXPROCS(0), 4)
 }
 
-// Baseline is the BENCH_BASELINE.json document.
-type Baseline struct {
-	GoVersion  string             `json:"goVersion"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	Workers    int                `json:"workers"`
-	Results    []ThroughputResult `json:"results"`
-	// Journal tracks the E21 write-path configurations (single-lock
-	// baseline vs group-commit, per sync policy, plus the CAT
-	// SubmitResponse persist latency).
-	Journal []JournalResult `json:"journal"`
-	// Events tracks the E22 bus configurations: fan-out delivery rates per
-	// subscriber count, and the engine workload with the bus disabled /
-	// unwatched / subscribed (emitter overhead).
-	Events []EventsResult `json:"events"`
-}
-
-// writeBaseline measures every engine configuration and writes the JSON
-// baseline to path, so future PRs can diff the perf trajectory.
-func writeBaseline(path string) error {
-	// At least 4 workers so the lock structure is exercised even on small
-	// machines, and enough sittings per worker to average out scheduler
-	// noise.
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
-	base := Baseline{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    workers,
-	}
+// runE18 measures every engine configuration with enough sittings per
+// worker to average out scheduler noise, and prints the comparison.
+func runE18(int64) (any, error) {
+	workers := engineWorkers()
+	fmt.Printf("concurrent exam delivery, %d workers x 200 sessions x 10 questions:\n", workers)
+	var results []ThroughputResult
 	for _, cfg := range throughputConfigs() {
 		res, err := measureThroughput(cfg, workers, 200, 10)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		base.Results = append(base.Results, res)
+		fmt.Printf("  %-34s %9.0f ops/s (%7.0f ns/op)\n", res.Name, res.OpsPerSec, res.NsPerOp)
+		results = append(results, res)
 	}
-	journal, err := measureJournalSuite(48)
-	if err != nil {
-		return err
-	}
-	base.Journal = journal
-	ev, err := measureEventsSuite()
-	if err != nil {
-		return err
-	}
-	base.Events = ev
-	raw, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote throughput baseline %s\n", path)
-	return nil
+	fmt.Println("expected shape: the sharded engine meets or beats the 1-shard baseline, and scales with GOMAXPROCS")
+	return results, nil
 }

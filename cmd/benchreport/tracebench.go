@@ -1,6 +1,6 @@
 package main
 
-// Tracing overhead (experiment E26 and the -trace baseline section): the
+// Tracing overhead (experiment E26, the "trace" baseline section): the
 // E21 journal write path and the E24 load harness re-measured at three
 // tracing levels — off (nil tracer), sampled (the production tail-sampling
 // configuration) and always-on (every trace retained, the worst case) — so
@@ -12,9 +12,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -104,39 +102,6 @@ func measureTraceJournal(m traceMode) (JournalResult, error) {
 	return measureJournalWrites(name, open, journalBenchWorkers, 192)
 }
 
-// measureTraceLoadgen runs a smoke-scale E24 harness pass at one tracing
-// level and reports the merged request p99.
-func measureTraceLoadgen(seed int64, m traceMode) (TraceLoadResult, error) {
-	ip, err := loadgen.StartInProcess(loadgen.InProcessConfig{
-		Trace: m.on, TracePolicy: m.policy,
-	})
-	if err != nil {
-		return TraceLoadResult{}, err
-	}
-	defer ip.Close()
-	runner, err := loadgen.NewRunner(loadgen.Config{
-		BaseURL: ip.URL, Mix: e24Mix(), RatePerSec: 150,
-		Ramp: time.Second, Soak: 3 * time.Second, Seed: seed,
-	})
-	if err != nil {
-		return TraceLoadResult{}, err
-	}
-	res, err := runner.Run(context.Background())
-	if err != nil {
-		return TraceLoadResult{}, err
-	}
-	out := TraceLoadResult{
-		Name:         "loadgen/150ps/trace-" + m.name,
-		Requests:     res.RequestCount,
-		Errors:       res.Errors,
-		RequestP99Ms: res.RequestP99Ms,
-	}
-	if ip.Tracer != nil {
-		out.Retained = len(ip.Tracer.Retained())
-	}
-	return out, nil
-}
-
 // measureTraceAllocs benchmarks the span-record hot path: one child span
 // started under a live root, two attributes set, ended. The root is cycled
 // every MaxSpans-1 children so every child lands in a fresh slot (an
@@ -194,22 +159,30 @@ func measureTraceSuite(seed int64) (*TraceSection, error) {
 		}
 	}
 	sec.Journal = best
-	for _, m := range traceModes() {
-		res, err := measureTraceLoadgen(seed, m)
+	for _, m := range modes {
+		lg, tracer, err := measureLoadgen(loadgen.InProcessConfig{Trace: m.on, TracePolicy: m.policy}, loadgen.Config{
+			Mix: e24Mix(), RatePerSec: 150, Ramp: time.Second, Soak: 3 * time.Second, Seed: seed,
+		}, nil)
 		if err != nil {
 			return nil, err
 		}
-		sec.Loadgen = append(sec.Loadgen, res)
+		sec.Loadgen = append(sec.Loadgen, TraceLoadResult{
+			Name:         "loadgen/150ps/trace-" + m.name,
+			Requests:     lg.Run.RequestCount,
+			Errors:       lg.Run.Errors,
+			RequestP99Ms: lg.Run.RequestP99Ms,
+			Retained:     len(tracer.Retained()),
+		})
 	}
 	sec.Allocs = measureTraceAllocs()
 	return sec, nil
 }
 
 // runE26 prints the tracing overhead comparison.
-func runE26(seed int64) error {
+func runE26(seed int64) (any, error) {
 	sec, err := measureTraceSuite(seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Println("journal write throughput, group-commit, tracing off vs sampled vs always-on:")
 	for _, r := range sec.Journal {
@@ -231,38 +204,5 @@ func runE26(seed int64) error {
 		fmt.Printf("  %-34s %8.0f ns/op %8.2f allocs/op\n", r.Name, r.NsPerOp, r.AllocsPerOp)
 	}
 	fmt.Println("expected shape: sampled-mode journal throughput within ~5% of off; span record allocates nothing amortized")
-	return nil
-}
-
-// writeTrace measures the suite and merges it into the baseline file as the
-// "trace" section, leaving every other section untouched.
-func writeTrace(path string, seed int64) error {
-	fmt.Fprintln(os.Stderr, "benchreport: measuring E26 tracing overhead (journal + loadgen at 3 levels)...")
-	sec, err := measureTraceSuite(seed)
-	if err != nil {
-		return err
-	}
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("existing baseline %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	secRaw, err := json.Marshal(sec)
-	if err != nil {
-		return err
-	}
-	doc["trace"] = secRaw
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("merged trace section into %s\n", path)
-	return nil
+	return sec, nil
 }

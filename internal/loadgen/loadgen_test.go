@@ -3,8 +3,6 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -15,7 +13,7 @@ import (
 // cohort (all three classes) against an in-process server with the WAL and
 // the event bus enabled — the full production composition. Every learner
 // must complete with zero unexpected errors, watchers must see frames, and
-// the E24 section must round-trip through JSON and the baseline merge.
+// the E24 section must round-trip through JSON.
 func TestLoadRunSmoke(t *testing.T) {
 	ip, err := StartInProcess(InProcessConfig{})
 	if err != nil {
@@ -84,9 +82,8 @@ func TestLoadRunSmoke(t *testing.T) {
 		t.Errorf("SLO missed: p99 %.2fms, errors %d", res.RequestP99Ms, res.Errors)
 	}
 
-	// The E24 section round-trips through JSON...
-	sec := NewSection(mix, res, nil)
-	raw, err := json.Marshal(sec)
+	// The E24 section round-trips through JSON.
+	raw, err := json.Marshal(Section{Mix: mix, Run: res})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,33 +96,6 @@ func TestLoadRunSmoke(t *testing.T) {
 	}
 	if back.Mix != mix {
 		t.Errorf("mix round trip: %+v", back.Mix)
-	}
-
-	// ...and merges into a baseline without clobbering other sections.
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, []byte(`{"other":{"keep":true}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := MergeBaseline(path, sec); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(merged, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := doc["other"]; !ok {
-		t.Error("merge dropped an existing section")
-	}
-	var fromFile Section
-	if err := json.Unmarshal(doc["loadgen"], &fromFile); err != nil {
-		t.Fatal(err)
-	}
-	if fromFile.Run == nil || fromFile.Run.Offered != res.Offered {
-		t.Errorf("baseline section lost data: %+v", fromFile.Run)
 	}
 }
 

@@ -1,60 +1,19 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 )
 
 // Section is the "loadgen" (E24) block of BENCH_BASELINE.json: the run
 // summary for the standard ramp+soak mixed workload plus the capacity
 // ladder. It is the composed-system yardstick later scale/speed PRs are
-// judged against, next to the per-subsystem E18–E23 sections.
+// judged against, next to the per-subsystem E18–E23 sections; the
+// environment stamp lives once at the top of the baseline document.
 type Section struct {
-	GoVersion  string          `json:"goVersion"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Mix        Mix             `json:"mix"`
-	Run        *Result         `json:"run,omitempty"`
-	Capacity   *CapacityResult `json:"capacity,omitempty"`
-}
-
-// NewSection stamps the environment around the measurements.
-func NewSection(mix Mix, run *Result, capacity *CapacityResult) *Section {
-	return &Section{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Mix:        mix,
-		Run:        run,
-		Capacity:   capacity,
-	}
-}
-
-// MergeBaseline writes the section into the baseline file under the
-// "loadgen" key, leaving every other section untouched — the same
-// section-merge flow benchreport's -hotpaths uses, so the BENCH_*.json
-// trajectory accretes experiment by experiment.
-func MergeBaseline(path string, sec *Section) error {
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("loadgen: existing baseline %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	secRaw, err := json.Marshal(sec)
-	if err != nil {
-		return err
-	}
-	doc["loadgen"] = secRaw
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	return os.WriteFile(path, raw, 0o644)
+	Mix      Mix             `json:"mix"`
+	Run      *Result         `json:"run,omitempty"`
+	Capacity *CapacityResult `json:"capacity,omitempty"`
 }
 
 // WriteReport renders a run result for humans.
